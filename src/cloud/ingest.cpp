@@ -75,12 +75,14 @@ std::vector<Document> IngestService::sweep_expired_locked(std::uint64_t now) {
   std::vector<Document> expired;
   for (auto it = sessions_.begin(); it != sessions_.end();) {
     const Session& session = it->second;
-    if (now - session.last_activity > config_.session_timeout_ticks) {
+    // Saturating: a stamp at or after `now` is not idle at all.
+    const std::uint64_t idle =
+        now > session.last_activity ? now - session.last_activity : 0;
+    if (idle > config_.session_timeout_ticks) {
       CROWDMAP_LOG(kWarn, "ingest")
-          << "session " << it->first << " expired after "
-          << (now - session.last_activity) << " idle ticks ("
-          << session.assembler.received() << "/" << session.assembler.total()
-          << " chunks)";
+          << "session " << it->first << " expired after " << idle
+          << " idle ticks (" << session.assembler.received() << "/"
+          << session.assembler.total() << " chunks)";
       expired.push_back(quarantine_doc(it->first, session));
       it = sessions_.erase(it);
     } else {
@@ -91,10 +93,6 @@ std::vector<Document> IngestService::sweep_expired_locked(std::uint64_t now) {
 }
 
 IngestStatus IngestService::deliver(const Chunk& chunk) {
-  const std::uint64_t now = clock_.advance();
-  // One flight tick per delivered chunk mirrors the ingest logical clock, so
-  // dump ordering lines up with session-expiry reasoning in a post-mortem.
-  if (flight_ != nullptr) flight_->advance_tick();
   Document completed;
   bool fire = false;
   bool corrupt = false;
@@ -103,6 +101,12 @@ IngestStatus IngestService::deliver(const Chunk& chunk) {
   IngestStatus result = IngestStatus::kAccepted;
   {
     common::MutexLock lock(mutex_);
+    // Both ticks are taken under the lock that orders the session stamps:
+    // taken before it, another thread could stamp a later tick first. One
+    // flight tick per delivered chunk mirrors the ingest logical clock, so
+    // dump ordering lines up with session-expiry reasoning in a post-mortem.
+    const std::uint64_t now = clock_.advance();
+    if (flight_ != nullptr) flight_->advance_tick();
     expired = sweep_expired_locked(now);
     const auto it = sessions_.find(chunk.upload_id);
     if (it == sessions_.end()) {

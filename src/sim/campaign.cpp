@@ -1,6 +1,10 @@
 #include "sim/campaign.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <thread>
+
+#include "common/thread_pool.hpp"
 
 namespace crowdmap::sim {
 
@@ -38,6 +42,15 @@ void apply_adversarial(SensorRichVideo& video, const AdversarialOptions& adv,
   }
 }
 
+// One upload of the campaign: every draw the campaign Rng makes for it. The
+// upload's video id is its position in the schedule.
+struct ScheduledVideo {
+  std::size_t user = 0;
+  const RoomSpec* room = nullptr;  // nullptr: hallway-only walk
+  bool junk = false;
+  Lighting lighting;
+};
+
 }  // namespace
 
 void generate_campaign_streaming(
@@ -59,52 +72,66 @@ void generate_campaign_streaming(
     users.emplace_back(scene, spec, sim, user_rng.fork());
   }
 
+  // The campaign-level schedule, drawn serially: users take uploads round
+  // robin; a room visit draws its lighting, a hallway walk its junk flag and
+  // then its lighting. Only the simulators' own streams are left to render.
   auto lighting = [&rng, &options] {
     return rng.chance(options.night_fraction) ? Lighting::night()
                                               : Lighting::day();
   };
-  // Campaign-wide upload ids: each simulator numbers its own videos from 0,
-  // which would collide across users; the cloud side (and the S2 memo cache)
-  // relies on upload identity being unique.
-  int next_video_id = 0;
-  int user_cursor = 0;
-  auto next_user = [&]() -> std::pair<UserSimulator&, int> {
-    const int id = user_cursor;
-    UserSimulator& u = users[static_cast<std::size_t>(user_cursor)];
-    user_cursor = (user_cursor + 1) % static_cast<int>(users.size());
-    return {u, id};
-  };
-
-  // Room visits.
+  std::vector<ScheduledVideo> schedule;
   for (const auto& room : spec.rooms) {
     for (int k = 0; k < options.room_videos_per_room; ++k) {
-      auto [user, id] = next_user();
-      auto video = user.room_visit(room, options.hallway_distance, lighting());
-      video.user_id = id;
-      video.video_id = next_video_id++;
-      if (options.adversarial.enabled()) {
-        apply_adversarial(
-            video, options.adversarial,
-            rng.stream(0xADB10000u +
-                       static_cast<std::uint64_t>(video.video_id)));
-      }
-      sink(std::move(video));
+      schedule.push_back({schedule.size() % users.size(), &room, false,
+                          lighting()});
     }
   }
-  // Hallway walks.
   for (int k = 0; k < options.hallway_walks; ++k) {
-    auto [user, id] = next_user();
-    SensorRichVideo video = rng.chance(options.junk_fraction)
-                                ? user.junk_video(lighting())
-                                : user.hallway_walk(lighting());
-    video.user_id = id;
-    video.video_id = next_video_id++;
-    if (options.adversarial.enabled()) {
-      apply_adversarial(
-          video, options.adversarial,
-          rng.stream(0xADB10000u + static_cast<std::uint64_t>(video.video_id)));
+    const std::size_t user = schedule.size() % users.size();
+    const bool junk = rng.chance(options.junk_fraction);
+    schedule.push_back({user, nullptr, junk, lighting()});
+  }
+
+  auto render = [&](std::size_t video_id) {
+    const ScheduledVideo& task = schedule[video_id];
+    UserSimulator& user = users[task.user];
+    SensorRichVideo video;
+    if (task.room != nullptr) {
+      video = user.room_visit(*task.room, options.hallway_distance,
+                              task.lighting);
+    } else if (task.junk) {
+      video = user.junk_video(task.lighting);
+    } else {
+      video = user.hallway_walk(task.lighting);
     }
-    sink(std::move(video));
+    video.user_id = static_cast<int>(task.user);
+    // Campaign-wide upload ids: each simulator numbers its own videos from
+    // 0, which would collide across users; the cloud side (and the S2 memo
+    // cache) relies on upload identity being unique.
+    video.video_id = static_cast<int>(video_id);
+    if (options.adversarial.enabled()) {
+      apply_adversarial(video, options.adversarial,
+                        rng.stream(0xADB10000u + video_id));
+    }
+    return video;
+  };
+
+  // A window of users.size() consecutive uploads holds each user once, so
+  // its videos render in parallel while every simulator still renders its
+  // own uploads in schedule order. The sink then sees them in id order.
+  const std::size_t window = users.size();
+  std::vector<SensorRichVideo> rendered(window);
+  const std::size_t threads = std::min<std::size_t>(
+      std::max(std::thread::hardware_concurrency(), 1u), window);
+  // threads counts the calling thread, which parallel_for puts to work too.
+  std::unique_ptr<common::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<common::ThreadPool>(threads - 1);
+  for (std::size_t first = 0; first < schedule.size(); first += window) {
+    const std::size_t n = std::min(window, schedule.size() - first);
+    common::parallel_for(pool.get(), n, [&](std::size_t i) {
+      rendered[i] = render(first + i);
+    });
+    for (std::size_t i = 0; i < n; ++i) sink(std::move(rendered[i]));
   }
 }
 

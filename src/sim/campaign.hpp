@@ -61,6 +61,13 @@ struct Campaign {
 /// accumulating them. Raw frames dominate memory (a full campaign holds
 /// hundreds of MB of pixels), so pipelines should consume videos one at a
 /// time and keep only extracted features.
+///
+/// Threading: rendering fans out over the hardware threads (at most
+/// `options.users` at once). The sink runs on the calling thread, in
+/// `video_id` order 0..N-1, and at most `options.users` rendered videos wait
+/// for it. The videos are the same bytes at any core count. An exception
+/// from the sink propagates after rendering has stopped; no later video
+/// reaches the sink.
 void generate_campaign_streaming(
     const FloorPlanSpec& spec, const CampaignOptions& options, std::uint64_t seed,
     const std::function<void(SensorRichVideo&&)>& sink);

@@ -2,7 +2,13 @@
 // user simulation and campaign generation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/mathutil.hpp"
 #include "common/rng.hpp"
@@ -408,5 +414,230 @@ TEST(Campaign, DeterministicInSeed) {
     ASSERT_EQ(a.videos[i].imu.samples.size(), b.videos[i].imu.samples.size());
     EXPECT_EQ(a.videos[i].imu.samples.back().compass,
               b.videos[i].imu.samples.back().compass);
+  }
+}
+
+// ------------------------------------------------ parallel campaign render ---
+
+namespace {
+
+// Damage rule of the adversarial options, restated from their contract: a
+// per-video stream decides truncation (keep a 40-80% head, at least
+// min_keep_frames) and then IMU dropout (the IMU dies 50-90% of the way in).
+// Returns whether either kind of damage fired.
+bool reference_damage(cs::SensorRichVideo& video,
+                      const cs::AdversarialOptions& adv, cc::Rng adv_rng) {
+  bool damaged = false;
+  auto trim_imu_after = [&video](double cutoff) {
+    auto& samples = video.imu.samples;
+    while (!samples.empty() && samples.back().t > cutoff) samples.pop_back();
+  };
+  if (adv_rng.chance(adv.truncate_fraction) &&
+      video.frames.size() > adv.min_keep_frames) {
+    const double frac = adv_rng.uniform(0.4, 0.8);
+    const std::size_t keep = std::max(
+        adv.min_keep_frames,
+        static_cast<std::size_t>(frac *
+                                 static_cast<double>(video.frames.size())));
+    if (keep < video.frames.size()) {
+      video.frames.resize(keep);
+      trim_imu_after(video.frames.back().t);
+      damaged = true;
+    }
+  }
+  if (adv_rng.chance(adv.dropout_fraction) && !video.frames.empty()) {
+    const double span = video.frames.back().t - video.frames.front().t;
+    trim_imu_after(video.frames.front().t + adv_rng.uniform(0.5, 0.9) * span);
+    damaged = true;
+  }
+  return damaged;
+}
+
+struct SerialCampaign {
+  std::vector<cs::SensorRichVideo> videos;
+  int damaged = 0;
+};
+
+// The campaign as one serial loop over the public Scene / UserSimulator API:
+// every draw of the campaign Rng interleaved with rendering, upload by
+// upload. The parallel generator must reproduce it byte for byte.
+SerialCampaign serial_reference(const cs::FloorPlanSpec& spec,
+                                const cs::CampaignOptions& options,
+                                std::uint64_t seed) {
+  const cs::Scene scene = cs::Scene::from_spec(spec, seed);
+  cc::Rng rng(seed);
+  std::vector<cs::UserSimulator> users;
+  for (int u = 0; u < std::max(options.users, 1); ++u) {
+    cs::SimOptions sim = options.sim;
+    cc::Rng user_rng = rng.stream(0x5EED0000u + static_cast<std::uint64_t>(u));
+    sim.walk_speed *= user_rng.uniform(0.85, 1.15);
+    sim.step_frequency *= user_rng.uniform(0.92, 1.08);
+    users.emplace_back(scene, spec, sim, user_rng.fork());
+  }
+  auto lighting = [&] {
+    return rng.chance(options.night_fraction) ? cs::Lighting::night()
+                                              : cs::Lighting::day();
+  };
+  SerialCampaign out;
+  auto finish = [&](cs::SensorRichVideo video) {
+    const int id = static_cast<int>(out.videos.size());
+    video.user_id = id % static_cast<int>(users.size());
+    video.video_id = id;
+    if (options.adversarial.enabled() &&
+        reference_damage(video, options.adversarial,
+                         rng.stream(0xADB10000u +
+                                    static_cast<std::uint64_t>(id)))) {
+      ++out.damaged;
+    }
+    out.videos.push_back(std::move(video));
+  };
+  auto next_user = [&]() -> cs::UserSimulator& {
+    return users[out.videos.size() % users.size()];
+  };
+  for (const auto& room : spec.rooms) {
+    for (int k = 0; k < options.room_videos_per_room; ++k) {
+      cs::UserSimulator& user = next_user();
+      finish(user.room_visit(room, options.hallway_distance, lighting()));
+    }
+  }
+  for (int k = 0; k < options.hallway_walks; ++k) {
+    cs::UserSimulator& user = next_user();
+    finish(rng.chance(options.junk_fraction) ? user.junk_video(lighting())
+                                             : user.hallway_walk(lighting()));
+  }
+  return out;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+// First field where two videos differ ("" when identical). Doubles and
+// floats compare by bit pattern; structs compare field by field, never as
+// raw memory (Lighting carries padding).
+std::string first_difference(const cs::SensorRichVideo& a,
+                             const cs::SensorRichVideo& b) {
+  if (a.video_id != b.video_id) return "video_id";
+  if (a.user_id != b.user_id) return "user_id";
+  if (a.building != b.building || a.floor != b.floor) return "building/floor";
+  if (bits(a.lighting.lux) != bits(b.lighting.lux) ||
+      a.lighting.incandescent != b.lighting.incandescent) {
+    return "lighting";
+  }
+  if (a.junk != b.junk) return "junk";
+  if (a.true_room_id != b.true_room_id) return "true_room_id";
+  if (a.frames.size() != b.frames.size()) return "frame count";
+  for (std::size_t f = 0; f < a.frames.size(); ++f) {
+    const auto& fa = a.frames[f];
+    const auto& fb = b.frames[f];
+    const std::string at = "frame " + std::to_string(f) + " ";
+    if (bits(fa.t) != bits(fb.t)) return at + "t";
+    if (bits(fa.true_pose.position.x) != bits(fb.true_pose.position.x) ||
+        bits(fa.true_pose.position.y) != bits(fb.true_pose.position.y) ||
+        bits(fa.true_pose.theta) != bits(fb.true_pose.theta)) {
+      return at + "true_pose";
+    }
+    if (fa.image.width() != fb.image.width() ||
+        fa.image.height() != fb.image.height()) {
+      return at + "image size";
+    }
+    for (int y = 0; y < fa.image.height(); ++y) {
+      for (int x = 0; x < fa.image.width(); ++x) {
+        for (int c = 0; c < 3; ++c) {
+          if (bits(fa.image.at(x, y)[c]) != bits(fb.image.at(x, y)[c])) {
+            return at + "pixel (" + std::to_string(x) + ", " +
+                   std::to_string(y) + ")";
+          }
+        }
+      }
+    }
+  }
+  if (bits(a.imu.sample_rate_hz) != bits(b.imu.sample_rate_hz)) {
+    return "imu rate";
+  }
+  if (a.imu.samples.size() != b.imu.samples.size()) return "imu count";
+  for (std::size_t i = 0; i < a.imu.samples.size(); ++i) {
+    const auto& sa = a.imu.samples[i];
+    const auto& sb = b.imu.samples[i];
+    if (bits(sa.t) != bits(sb.t) ||
+        bits(sa.accel_magnitude) != bits(sb.accel_magnitude) ||
+        bits(sa.gyro_z) != bits(sb.gyro_z) ||
+        bits(sa.compass) != bits(sb.compass)) {
+      return "imu sample " + std::to_string(i);
+    }
+  }
+  return "";
+}
+
+// Small frames, junk uploads, both kinds of damage, and a user count that
+// does not divide the upload count (so the last render window is partial).
+cs::CampaignOptions mixed_campaign_options() {
+  cs::CampaignOptions options;
+  options.users = 3;
+  options.room_videos_per_room = 1;
+  options.hallway_walks = 7;
+  options.junk_fraction = 0.3;
+  options.night_fraction = 0.5;
+  options.adversarial.truncate_fraction = 0.4;
+  options.adversarial.dropout_fraction = 0.4;
+  options.sim.fps = 2.0;
+  options.sim.imu_rate_hz = 50.0;
+  options.sim.camera.width = 40;
+  options.sim.camera.height = 56;
+  return options;
+}
+
+}  // namespace
+
+TEST(Campaign, ParallelRenderMatchesSerialReference) {
+  const auto options = mixed_campaign_options();
+  const auto spec = cs::lab1();
+  constexpr std::uint64_t kSeed = 113;
+  const SerialCampaign reference = serial_reference(spec, options, kSeed);
+  const auto users = static_cast<std::size_t>(options.users);
+  ASSERT_NE(reference.videos.size() % users, 0u);
+  // The case must exercise what it claims to.
+  EXPECT_TRUE(std::any_of(reference.videos.begin(), reference.videos.end(),
+                          [](const auto& v) { return v.junk; }));
+  EXPECT_TRUE(std::any_of(reference.videos.begin(), reference.videos.end(),
+                          [](const auto& v) { return v.lighting.incandescent; }));
+  EXPECT_GT(reference.damaged, 0);
+
+  // The sink contract rides along: calling thread, video_id order (the
+  // reference numbers its videos 0..N-1, so a reordering shows as a diff).
+  const auto caller = std::this_thread::get_id();
+  bool on_caller = true;
+  std::vector<cs::SensorRichVideo> videos;
+  cs::generate_campaign_streaming(spec, options, kSeed,
+                                  [&](cs::SensorRichVideo&& v) {
+                                    on_caller = on_caller &&
+                                        std::this_thread::get_id() == caller;
+                                    videos.push_back(std::move(v));
+                                  });
+  EXPECT_TRUE(on_caller);
+  ASSERT_EQ(videos.size(), reference.videos.size());
+  for (std::size_t i = 0; i < reference.videos.size(); ++i) {
+    EXPECT_EQ(first_difference(videos[i], reference.videos[i]), "")
+        << "video " << i;
+  }
+}
+
+TEST(Campaign, SinkExceptionStopsDelivery) {
+  const auto options = mixed_campaign_options();
+  const auto spec = cs::lab1();
+  // Video 4 sits mid-window: its window-mates are already rendered.
+  constexpr int kThrowAt = 4;
+  std::vector<int> delivered;
+  EXPECT_THROW(cs::generate_campaign_streaming(
+                   spec, options, 131,
+                   [&](cs::SensorRichVideo&& v) {
+                     delivered.push_back(v.video_id);
+                     if (v.video_id == kThrowAt) {
+                       throw std::runtime_error("sink refused the upload");
+                     }
+                   }),
+               std::runtime_error);
+  ASSERT_EQ(delivered.size(), static_cast<std::size_t>(kThrowAt + 1));
+  for (int i = 0; i <= kThrowAt; ++i) {
+    EXPECT_EQ(delivered[static_cast<std::size_t>(i)], i);
   }
 }

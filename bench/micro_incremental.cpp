@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "api/crowdmap.hpp"
+#include "api/v2.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"

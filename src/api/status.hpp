@@ -2,7 +2,7 @@
 // Version-independent: codes live directly in crowdmap::api so a future v3
 // shares them, and each code names a caller-actionable condition (retry the
 // rejected chunks, refresh routing, back off, fix the deployment) instead of
-// a bare bool. v1's boolean `accepted` maps onto kOk / kRejectedChunks.
+// a bare bool.
 #pragma once
 
 #include <string>

@@ -1,22 +1,20 @@
 // crowdmap::api::v2 — the cluster-aware facade (docs/API.md, docs/CLUSTER.md).
 //
-// v2 is the inline version: `api::Client` resolves here, `api::v2::Client`
-// pins it. The client fronts a crowdmap::cluster::Cluster — N in-process
-// nodes behind a consistent-hash router — instead of one CrowdMapService;
-// with config.cluster.nodes == 1 (the default) it behaves exactly like v1
-// and its plans are byte-identical to v1's over the same campaign.
+// v2 is the only version and the inline one: `api::Client` resolves here,
+// `api::v2::Client` pins it. The client fronts a crowdmap::cluster::Cluster
+// — N in-process nodes behind a consistent-hash router; with
+// config.cluster.nodes == 1 (the default) its plans are byte-identical to a
+// bare cloud::CrowdMapService's over the same campaign.
 //
-// What changed from v1 (docs/API.md has the migration table):
-//  - Responses carry a structured api::Status instead of a bare bool:
-//    kRejectedChunks / kWrongShard / kShedding / kDeadlineExceeded /
-//    kStorageUnavailable, each caller-actionable.
+//  - Responses carry a structured api::Status: kRejectedChunks /
+//    kWrongShard / kShedding / kDeadlineExceeded / kStorageUnavailable,
+//    each caller-actionable.
 //  - Requests take RequestOptions with a request-scoped deadline (a logical
 //    router tick bound, deterministic like everything else).
-//  - The `service()` escape hatch is gone. Capabilities the facade models
-//    are first-class (document_store(), shard_of(), node_stats(), ...);
-//    anything else is a missing feature, not a reason to reach inside. The
-//    crowdmap_lint `api-escape-hatch` rule flags service() calls outside
-//    src/ to keep it that way.
+//  - There is no accessor to a node's raw CrowdMapService. Capabilities the
+//    facade models are first-class (document_store(), shard_of(),
+//    node_stats(), ...); anything else is a missing feature, not a reason to
+//    reach inside.
 #pragma once
 
 #include <cstdint>
@@ -183,8 +181,7 @@ class Client {
   [[nodiscard]] std::uint64_t now_tick() const noexcept;
 
   // ------------------------------------- narrow versioned accessors ---
-  // v2 deliberately has no service() escape hatch; these cover what the
-  // in-tree callers of v1's escape hatch actually needed.
+  // What callers need from a node, without handing out the node itself.
 
   /// One node's document store (read-only).
   [[nodiscard]] const cloud::DocumentStore& document_store(
@@ -210,7 +207,7 @@ class Client {
 
   /// The backing cluster, for tests that drive topology/fault seams the
   /// facade does not model (shard logs, per-node registries). Versioned —
-  /// part of the v2 surface, unlike v1's unversioned service().
+  /// part of the v2 surface.
   [[nodiscard]] cluster::Cluster& cluster() noexcept { return cluster_; }
 
  private:

@@ -136,13 +136,12 @@ struct PipelineResult {
   obs::SpanRecord trace;
 };
 
-/// The reconstruction engine. INTERNAL-ONLY construction: since the
-/// versioned facade landed (src/api/crowdmap.hpp), code outside src/ goes
-/// through api::v1::Client (or core::IncrementalPlanner for embedded use)
-/// rather than building pipelines directly — the facade owns corpus
-/// management, artifact caching and degradation reporting, and is the
-/// surface the compatibility guarantees cover. Direct construction outside
-/// src/ is flagged by the crowdmap_lint `pipeline-construction` rule.
+/// The reconstruction engine. INTERNAL-ONLY construction: code outside src/
+/// goes through api::Client (src/api/v2.hpp), or core::IncrementalPlanner
+/// for embedded use, rather than building pipelines directly — the facade
+/// owns corpus management, artifact caching and degradation reporting, and
+/// is the surface the compatibility guarantees cover. Direct construction
+/// outside src/ is flagged by the crowdmap_lint `pipeline-construction` rule.
 class CrowdMapPipeline {
  public:
   /// `registry` defaults to a fresh per-pipeline registry so counters don't

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <utility>
 
-#include "api/crowdmap.hpp"
+#include "api/v2.hpp"
 #include "common/log.hpp"
 #include "common/stats.hpp"
 

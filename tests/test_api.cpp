@@ -1,4 +1,4 @@
-// Tests for the api::v1 facade and incremental recomputation semantics:
+// Tests for the api::Client facade and incremental recomputation semantics:
 // submission-order independence, warm-vs-cold byte identity, cache reuse
 // across rebuilds, persistence warm-start, and background refresh.
 #include <gtest/gtest.h>
@@ -7,14 +7,14 @@
 #include <string>
 #include <vector>
 
-#include "api/crowdmap.hpp"
+#include "api/v2.hpp"
 #include "cloud/docstore.hpp"
 #include "common/rng.hpp"
 #include "floorplan/serialize.hpp"
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
 
-namespace ap = crowdmap::api::v1;
+namespace ap = crowdmap::api;
 namespace cs = crowdmap::sim;
 namespace co = crowdmap::core;
 namespace cc = crowdmap::common;
@@ -59,14 +59,14 @@ TEST(Api, SubmissionOrderDoesNotChangeThePlan) {
   const int floor = videos.front().floor;
 
   auto forward = make_client();
-  for (const auto& video : videos) ASSERT_TRUE(forward.submit_video(video).accepted);
-  const auto plan_fwd = forward.build_plan({building, floor, std::nullopt});
+  for (const auto& video : videos) ASSERT_TRUE(forward.submit_video(video).status.ok());
+  const auto plan_fwd = forward.build_plan({building, floor, std::nullopt, {}});
 
   auto reversed = make_client();
   for (auto it = videos.rbegin(); it != videos.rend(); ++it) {
-    ASSERT_TRUE(reversed.submit_video(*it).accepted);
+    ASSERT_TRUE(reversed.submit_video(*it).status.ok());
   }
-  const auto plan_rev = reversed.build_plan({building, floor, std::nullopt});
+  const auto plan_rev = reversed.build_plan({building, floor, std::nullopt, {}});
 
   EXPECT_EQ(plan_bytes(plan_fwd.result), plan_bytes(plan_rev.result));
   EXPECT_EQ(plan_fwd.result.degradation.to_string(),
@@ -83,16 +83,16 @@ TEST(Api, IncrementalRefreshMatchesColdRebuildByteForByte) {
   // rebuild incrementally.
   auto warm = make_client();
   for (std::size_t v = 0; v + 1 < videos.size(); ++v) {
-    ASSERT_TRUE(warm.submit_video(videos[v]).accepted);
+    ASSERT_TRUE(warm.submit_video(videos[v]).status.ok());
   }
-  (void)warm.build_plan({building, floor, std::nullopt});
-  ASSERT_TRUE(warm.submit_video(videos.back()).accepted);
-  const auto incremental = warm.build_plan({building, floor, std::nullopt});
+  (void)warm.build_plan({building, floor, std::nullopt, {}});
+  ASSERT_TRUE(warm.submit_video(videos.back()).status.ok());
+  const auto incremental = warm.build_plan({building, floor, std::nullopt, {}});
 
   // Cold path: all uploads, one build, no cache history.
   auto cold = make_client();
-  for (const auto& video : videos) ASSERT_TRUE(cold.submit_video(video).accepted);
-  const auto scratch = cold.build_plan({building, floor, std::nullopt});
+  for (const auto& video : videos) ASSERT_TRUE(cold.submit_video(video).status.ok());
+  const auto scratch = cold.build_plan({building, floor, std::nullopt, {}});
 
   EXPECT_EQ(plan_bytes(incremental.result), plan_bytes(scratch.result));
   EXPECT_EQ(incremental.result.diagnostics.trajectories_kept,
@@ -114,9 +114,9 @@ TEST(Api, RepeatBuildReusesEverythingAndKeepsConfigHoisted) {
   const int floor = videos.front().floor;
 
   auto client = make_client();
-  for (const auto& video : videos) ASSERT_TRUE(client.submit_video(video).accepted);
-  const auto first = client.build_plan({building, floor, std::nullopt});
-  const auto second = client.build_plan({building, floor, std::nullopt});
+  for (const auto& video : videos) ASSERT_TRUE(client.submit_video(video).status.ok());
+  const auto first = client.build_plan({building, floor, std::nullopt, {}});
+  const auto second = client.build_plan({building, floor, std::nullopt, {}});
 
   EXPECT_EQ(plan_bytes(first.result), plan_bytes(second.result));
   EXPECT_EQ(second.cache.pairs_reused, second.cache.pairs_total);
@@ -135,8 +135,8 @@ TEST(Api, PersistedCacheWarmsARestartedBackend) {
   const int floor = videos.front().floor;
 
   auto original = make_client();
-  for (const auto& video : videos) ASSERT_TRUE(original.submit_video(video).accepted);
-  const auto before = original.build_plan({building, floor, std::nullopt});
+  for (const auto& video : videos) ASSERT_TRUE(original.submit_video(video).status.ok());
+  const auto before = original.build_plan({building, floor, std::nullopt, {}});
   ASSERT_TRUE(original.persist_artifact_cache(building, floor));
   // The snapshot is a reserved system document: floor queries still return
   // only the uploads themselves.
@@ -147,8 +147,8 @@ TEST(Api, PersistedCacheWarmsARestartedBackend) {
 
   auto restarted = make_client();
   EXPECT_GT(restarted.warm_artifact_cache_from(original.document_store()), 0u);
-  for (const auto& video : videos) ASSERT_TRUE(restarted.submit_video(video).accepted);
-  const auto after = restarted.build_plan({building, floor, std::nullopt});
+  for (const auto& video : videos) ASSERT_TRUE(restarted.submit_video(video).status.ok());
+  const auto after = restarted.build_plan({building, floor, std::nullopt, {}});
 
   EXPECT_EQ(plan_bytes(before.result), plan_bytes(after.result));
   // First build after the restart already replays warmed artifacts.
@@ -166,8 +166,8 @@ TEST(Api, MalformedCacheSnapshotRejectsCleanlyAndFallsBackCold) {
   const int floor = videos.front().floor;
 
   auto original = make_client();
-  for (const auto& video : videos) ASSERT_TRUE(original.submit_video(video).accepted);
-  const auto before = original.build_plan({building, floor, std::nullopt});
+  for (const auto& video : videos) ASSERT_TRUE(original.submit_video(video).status.ok());
+  const auto before = original.build_plan({building, floor, std::nullopt, {}});
   ASSERT_TRUE(original.persist_artifact_cache(building, floor));
 
   // A predecessor store whose snapshot bytes were mangled at rest: one
@@ -201,8 +201,8 @@ TEST(Api, MalformedCacheSnapshotRejectsCleanlyAndFallsBackCold) {
 
   // Cold fallback: nothing was warmed, the first build is all misses, and
   // the plan bytes still match the original backend's.
-  for (const auto& video : videos) ASSERT_TRUE(restarted.submit_video(video).accepted);
-  const auto after = restarted.build_plan({building, floor, std::nullopt});
+  for (const auto& video : videos) ASSERT_TRUE(restarted.submit_video(video).status.ok());
+  const auto after = restarted.build_plan({building, floor, std::nullopt, {}});
   EXPECT_EQ(plan_bytes(before.result), plan_bytes(after.result));
   EXPECT_EQ(after.cache.artifact_hits, 0u);
 }
@@ -216,7 +216,7 @@ TEST(Api, BackgroundRefreshServesLatestPlanWithoutABuildCall) {
   const std::string building = videos.front().building;
   const int floor = videos.front().floor;
   EXPECT_EQ(client.latest_plan(building, floor), nullptr);
-  for (const auto& video : videos) ASSERT_TRUE(client.submit_video(video).accepted);
+  for (const auto& video : videos) ASSERT_TRUE(client.submit_video(video).status.ok());
   client.drain();
 
   const auto latest = client.latest_plan(building, floor);
@@ -225,17 +225,8 @@ TEST(Api, BackgroundRefreshServesLatestPlanWithoutABuildCall) {
 
   // A foreground build over the same corpus returns the same bytes the
   // background refresh computed.
-  const auto built = client.build_plan({building, floor, std::nullopt});
+  const auto built = client.build_plan({building, floor, std::nullopt, {}});
   EXPECT_EQ(plan_bytes(*latest), plan_bytes(built.result));
-}
-
-TEST(Api, VersionAliasResolvesToV2AndV1StaysPinned) {
-  // api::Client resolves to the newest version (v2, the inline namespace);
-  // the pinned v1 name this suite uses is a distinct, still-compiling type.
-  static_assert(std::is_same_v<crowdmap::api::Client, crowdmap::api::v2::Client>);
-  static_assert(std::is_same_v<ap::Client, crowdmap::api::v1::Client>);
-  static_assert(!std::is_same_v<crowdmap::api::Client, crowdmap::api::v1::Client>);
-  SUCCEED();
 }
 
 TEST(Api, DisabledCacheStillBuildsIdenticalPlans) {
@@ -248,13 +239,13 @@ TEST(Api, DisabledCacheStillBuildsIdenticalPlans) {
   const std::string building = videos.front().building;
   const int floor = videos.front().floor;
   for (const auto& video : videos) {
-    ASSERT_TRUE(uncached.submit_video(video).accepted);
-    ASSERT_TRUE(cached.submit_video(video).accepted);
+    ASSERT_TRUE(uncached.submit_video(video).status.ok());
+    ASSERT_TRUE(cached.submit_video(video).status.ok());
   }
-  (void)cached.build_plan({building, floor, std::nullopt});
-  const auto warm = cached.build_plan({building, floor, std::nullopt});
-  const auto plain = uncached.build_plan({building, floor, std::nullopt});
-  (void)uncached.build_plan({building, floor, std::nullopt});
+  (void)cached.build_plan({building, floor, std::nullopt, {}});
+  const auto warm = cached.build_plan({building, floor, std::nullopt, {}});
+  const auto plain = uncached.build_plan({building, floor, std::nullopt, {}});
+  (void)uncached.build_plan({building, floor, std::nullopt, {}});
 
   EXPECT_EQ(plan_bytes(warm.result), plan_bytes(plain.result));
   EXPECT_EQ(uncached.stats().artifact_cache.hits, 0u);

@@ -1,17 +1,22 @@
 // Tests for the api::v2 facade: the structured Status error model,
-// request-scoped deadlines, cluster topology surface, the v1/v2 conformance
-// contract (byte-identical FloorPlans and DegradationReports over the same
-// campaign), and the 4-submitter-thread regression for the submit critical
-// section (docs/API.md).
+// request-scoped deadlines, cluster topology surface, the router adding
+// nothing to the bytes (a single-node client's FloorPlan and
+// DegradationReport match a bare CrowdMapService's over the same campaign),
+// and the 4-submitter-thread regression for the submit critical section
+// (docs/API.md).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "api/crowdmap.hpp"
+#include "api/v2.hpp"
+#include "cloud/chunking.hpp"
+#include "cloud/service.hpp"
 #include "common/rng.hpp"
 #include "floorplan/serialize.hpp"
 #include "sensors/serialize.hpp"
@@ -19,6 +24,7 @@
 #include "sim/campaign.hpp"
 
 namespace api = crowdmap::api;
+namespace cl = crowdmap::cloud;
 namespace cs = crowdmap::sim;
 namespace co = crowdmap::core;
 namespace cc = crowdmap::common;
@@ -62,12 +68,6 @@ std::string plan_bytes(const co::PipelineResult& result) {
 TEST(ApiV2, InlineNamespaceMakesV2TheDefault) {
   static_assert(std::is_same_v<api::Client, api::v2::Client>);
   static_assert(std::is_same_v<api::ClientOptions, api::v2::ClientOptions>);
-  static_assert(!std::is_same_v<api::v1::Client, api::v2::Client>);
-  // The pinned v1 surface stays source-compatible for old callers: its
-  // responses still answer with the bare bool, not a Status.
-  static_assert(std::is_same_v<
-                decltype(std::declval<api::v1::SubmitUploadResponse>().accepted),
-                bool>);
   SUCCEED();
 }
 
@@ -84,19 +84,40 @@ TEST(ApiV2, StatusModelIsSelfDescribing) {
             "deadline_exceeded");
 }
 
-// ---------------------------------------------------- v1/v2 conformance ---
+// ------------------------------------------------- router conformance ---
 
-TEST(ApiV2, SingleNodeV2MatchesV1ByteForByte) {
+TEST(ApiV2, SingleNodeMatchesBareServiceByteForByte) {
   const auto videos = tiny_campaign(820);
   ASSERT_GE(videos.size(), 3u);
   const std::string building = videos.front().building;
   const int floor = videos.front().floor;
 
-  api::v1::ClientOptions v1_options;
-  v1_options.config = co::PipelineConfig::fast_profile();
-  api::v1::Client v1(std::move(v1_options));
-  for (const auto& video : videos) ASSERT_TRUE(v1.submit_video(video).accepted);
-  const auto v1_plan = v1.build_plan({building, floor, std::nullopt});
+  // Reference: one CrowdMapService fed the same uploads directly, decoding
+  // through a side table keyed by upload id — no router, no shard log. The
+  // table is filled before the first delivery, so extraction workers only
+  // ever read it.
+  std::map<std::string, cs::SensorRichVideo> side_table;
+  for (const auto& video : videos) {
+    side_table["video-" + std::to_string(video.video_id)] = video;
+  }
+  cl::CrowdMapService bare(
+      co::PipelineConfig::fast_profile(),
+      [&side_table](const cl::Document& doc)
+          -> std::optional<cs::SensorRichVideo> {
+        const auto it = side_table.find(doc.id);
+        if (it == side_table.end()) return std::nullopt;
+        return it->second;
+      });
+  for (const auto& video : videos) {
+    const std::string id = "video-" + std::to_string(video.video_id);
+    bare.open_session(id, video.building, video.floor);
+    for (const auto& chunk : cl::split_into_chunks(
+             crowdmap::sensors::encode_imu(video.imu), id, 4096)) {
+      ASSERT_NE(bare.deliver(chunk), cl::IngestStatus::kRejected);
+    }
+  }
+  bare.drain();
+  const auto bare_plan = bare.build_floor_plan(building, floor, std::nullopt);
 
   auto v2 = make_v2();
   for (const auto& video : videos) {
@@ -111,8 +132,8 @@ TEST(ApiV2, SingleNodeV2MatchesV1ByteForByte) {
   const auto v2_plan = v2.build_plan(request);
   ASSERT_TRUE(v2_plan.status.ok());
 
-  EXPECT_EQ(plan_bytes(v1_plan.result), plan_bytes(v2_plan.result));
-  EXPECT_EQ(v1_plan.result.degradation.to_string(),
+  EXPECT_EQ(plan_bytes(bare_plan), plan_bytes(v2_plan.result));
+  EXPECT_EQ(bare_plan.degradation.to_string(),
             v2_plan.degradation.to_string());
   EXPECT_EQ(v2_plan.degradation.to_string(),
             v2_plan.result.degradation.to_string());

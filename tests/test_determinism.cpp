@@ -7,14 +7,14 @@
 
 #include <vector>
 
-#include "api/crowdmap.hpp"
+#include "api/v2.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "floorplan/serialize.hpp"
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
 
-namespace ap = crowdmap::api::v1;
+namespace ap = crowdmap::api;
 namespace cc = crowdmap::common;
 namespace co = crowdmap::core;
 namespace cs = crowdmap::sim;
@@ -75,10 +75,10 @@ std::string cold_plan(const std::vector<cs::SensorRichVideo>& videos,
                       std::size_t threads) {
   auto client = client_with_threads(threads);
   for (const auto& video : videos) {
-    if (!client.submit_video(video).accepted) return {};
+    if (!client.submit_video(video).status.ok()) return {};
   }
   const auto response = client.build_plan(
-      {videos.front().building, videos.front().floor, std::nullopt});
+      {videos.front().building, videos.front().floor, std::nullopt, {}});
   const auto bytes = crowdmap::floorplan::encode_floorplan(response.result.plan);
   return std::string(bytes.begin(), bytes.end());
 }
@@ -89,13 +89,13 @@ std::string incremental_plan(const std::vector<cs::SensorRichVideo>& videos,
                              std::size_t threads) {
   auto client = client_with_threads(threads);
   for (std::size_t v = 0; v + 1 < videos.size(); ++v) {
-    if (!client.submit_video(videos[v]).accepted) return {};
+    if (!client.submit_video(videos[v]).status.ok()) return {};
   }
   const std::string building = videos.front().building;
   const int floor = videos.front().floor;
-  (void)client.build_plan({building, floor, std::nullopt});
-  if (!client.submit_video(videos.back()).accepted) return {};
-  const auto response = client.build_plan({building, floor, std::nullopt});
+  (void)client.build_plan({building, floor, std::nullopt, {}});
+  if (!client.submit_video(videos.back()).status.ok()) return {};
+  const auto response = client.build_plan({building, floor, std::nullopt, {}});
   const auto bytes = crowdmap::floorplan::encode_floorplan(response.result.plan);
   return std::string(bytes.begin(), bytes.end());
 }

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "api/crowdmap.hpp"
+#include "api/v2.hpp"
 #include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
@@ -19,7 +19,7 @@
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
 
-namespace ap = crowdmap::api::v1;
+namespace ap = crowdmap::api;
 namespace cc = crowdmap::common;
 namespace co = crowdmap::core;
 namespace cs = crowdmap::sim;
@@ -323,17 +323,29 @@ TEST(Flight, ApiClientExposesDumps) {
   enabled.config = co::PipelineConfig::fast_profile();
   enabled.config.flight.enabled = true;
   ap::Client client(std::move(enabled));
-  const auto dump = client.flight_dump();
+  const auto dump = client.flight_dump(0);
   ASSERT_TRUE(dump.has_value());
-  const auto deterministic = client.flight_dump(/*deterministic=*/true);
+  EXPECT_FALSE(dump->deterministic);
+  // The node index comes first: flight_dump(true) would ask for node 1.
+  const auto deterministic = client.flight_dump(0, /*deterministic=*/true);
   ASSERT_TRUE(deterministic.has_value());
   EXPECT_TRUE(deterministic->deterministic);
+  const auto router = client.router_flight_dump();
+  ASSERT_TRUE(router.has_value());
+  EXPECT_FALSE(router->deterministic);
+  const auto router_deterministic =
+      client.router_flight_dump(/*deterministic=*/true);
+  ASSERT_TRUE(router_deterministic.has_value());
+  EXPECT_TRUE(router_deterministic->deterministic);
 
   ap::ClientOptions disabled;
   disabled.config = co::PipelineConfig::fast_profile();
   disabled.config.flight.enabled = false;
   ap::Client dark(std::move(disabled));
-  EXPECT_FALSE(dark.flight_dump().has_value());
+  EXPECT_FALSE(dark.flight_dump(0).has_value());
+  EXPECT_FALSE(dark.flight_dump(0, /*deterministic=*/true).has_value());
+  EXPECT_FALSE(dark.router_flight_dump().has_value());
+  EXPECT_FALSE(dark.router_flight_dump(/*deterministic=*/true).has_value());
 }
 
 }  // namespace

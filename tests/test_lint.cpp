@@ -307,45 +307,6 @@ TEST(Lint, PipelineConstructionEscapable) {
       "pipeline-construction"));
 }
 
-// --------------------------------------------------------- api-escape-hatch ---
-
-TEST(Lint, ApiEscapeHatchFiresOutsideSrc) {
-  EXPECT_TRUE(has_rule(
-      cl::lint_content("tests/test_api.cpp",
-                       "auto& svc = client.service();\n"),
-      "api-escape-hatch"));
-  EXPECT_TRUE(has_rule(
-      cl::lint_content("bench/micro.cpp",
-                       "client->service().drain();\n"),
-      "api-escape-hatch"));
-}
-
-TEST(Lint, ApiEscapeHatchAllowedInsideSrc) {
-  // The v1 facade itself (and any src/ internals) may keep the accessor.
-  EXPECT_FALSE(has_rule(
-      cl::lint_content("src/api/crowdmap.cpp",
-                       "return client.service();\n"),
-      "api-escape-hatch"));
-}
-
-TEST(Lint, ApiEscapeHatchIgnoresOtherServiceSpellings) {
-  // Declarations, namespaces, and calls with arguments are not the hatch.
-  EXPECT_FALSE(has_rule(
-      cl::lint_content("tests/test_x.cpp",
-                       "cloud::CrowdMapService service(config, decoder);\n"
-                       "auto doc = lookup_service(\"ingest\");\n"
-                       "registry.service(name);\n"),
-      "api-escape-hatch"));
-}
-
-TEST(Lint, ApiEscapeHatchEscapable) {
-  EXPECT_FALSE(has_rule(
-      cl::lint_content("tests/test_api.cpp",
-                       "// crowdmap-lint: allow(api-escape-hatch)\n"
-                       "auto& svc = client.service();\n"),
-      "api-escape-hatch"));
-}
-
 // ------------------------------------------------------ metric-help-required ---
 
 TEST(Lint, MetricHelpFiresOnMissingHelp) {

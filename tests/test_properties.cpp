@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "api/crowdmap.hpp"
+#include "api/v2.hpp"
 #include "common/mathutil.hpp"
 #include "common/rng.hpp"
 #include "geometry/polygon.hpp"
@@ -240,7 +240,7 @@ TEST(IncrementalProperty, AnyUploadInterleavingMatchesTheBatchBuild) {
   // interleaved at arbitrary points between submissions, the final plan is
   // byte-identical to the batch build (all uploads, one build). Seeded
   // Fisher-Yates permutations keep the sweep reproducible.
-  namespace ap = crowdmap::api::v1;
+  namespace ap = crowdmap::api;
   namespace cs = crowdmap::sim;
   namespace co = crowdmap::core;
 
@@ -262,7 +262,7 @@ TEST(IncrementalProperty, AnyUploadInterleavingMatchesTheBatchBuild) {
   const int floor = videos.front().floor;
 
   const auto build_bytes = [&](ap::Client& client) {
-    const auto response = client.build_plan({building, floor, std::nullopt});
+    const auto response = client.build_plan({building, floor, std::nullopt, {}});
     const auto bytes = crowdmap::floorplan::encode_floorplan(response.result.plan);
     return std::string(bytes.begin(), bytes.end());
   };
@@ -274,7 +274,7 @@ TEST(IncrementalProperty, AnyUploadInterleavingMatchesTheBatchBuild) {
 
   auto batch = fresh_client();
   for (const auto& video : videos) {
-    ASSERT_TRUE(batch.submit_video(video).accepted);
+    ASSERT_TRUE(batch.submit_video(video).status.ok());
   }
   const std::string reference = build_bytes(batch);
   ASSERT_FALSE(reference.empty());
@@ -291,7 +291,7 @@ TEST(IncrementalProperty, AnyUploadInterleavingMatchesTheBatchBuild) {
 
     auto client = fresh_client();
     for (const auto index : order) {
-      ASSERT_TRUE(client.submit_video(videos[index]).accepted);
+      ASSERT_TRUE(client.submit_video(videos[index]).status.ok());
       // Sometimes build mid-stream: partial builds must not perturb the
       // final plan (their artifacts are either reused or invalidated).
       if (rng.uniform_int(0, 2) == 0) (void)build_bytes(client);

@@ -1,16 +1,16 @@
-// Tests for the assembled cloud backend through the versioned api::v1
-// facade: chunked uploads through ingestion, async extraction on the worker
-// pool, per-floor incremental plan builds.
+// Tests for the assembled cloud backend through the api::Client facade:
+// chunked uploads through ingestion, async extraction on the worker pool,
+// per-floor incremental plan builds.
 #include <gtest/gtest.h>
 
 #include <thread>
 
-#include "api/crowdmap.hpp"
+#include "api/v2.hpp"
 #include "common/rng.hpp"
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
 
-namespace ap = crowdmap::api::v1;
+namespace ap = crowdmap::api;
 namespace cl = crowdmap::cloud;
 namespace cs = crowdmap::sim;
 namespace co = crowdmap::core;
@@ -21,7 +21,7 @@ namespace {
 ap::Client make_client(std::size_t workers = 2) {
   ap::ClientOptions options;
   options.config = co::PipelineConfig::fast_profile();
-  options.workers = workers;
+  options.workers_per_node = workers;
   return ap::Client(std::move(options));
 }
 
@@ -49,7 +49,7 @@ TEST(Service, EndToEndUploadsBuildPlan) {
   const auto videos = small_campaign(701);
   for (const auto& video : videos) {
     const auto response = client.submit_video(video);
-    EXPECT_TRUE(response.accepted);
+    EXPECT_TRUE(response.status.ok());
     EXPECT_EQ(response.chunks_rejected, 0u);
   }
   client.drain();
@@ -59,7 +59,7 @@ TEST(Service, EndToEndUploadsBuildPlan) {
   EXPECT_GT(stats.trajectories_extracted, 0u);
 
   const auto response = client.build_plan(
-      {videos.front().building, videos.front().floor, std::nullopt});
+      {videos.front().building, videos.front().floor, std::nullopt, {}});
   EXPECT_GT(response.result.diagnostics.trajectories_kept, 0u);
   EXPECT_GT(response.result.skeleton.raster.count_set(), 0u);
 }
@@ -71,22 +71,21 @@ TEST(Service, StatsMatchMetricsRegistry) {
   client.drain();
 
   // stats() is a view over the registry, so the two must agree exactly.
+  // metrics() labels every node series with its node name.
+  const crowdmap::obs::Labels node0{{"node", "node-0"}};
   const auto stats = client.stats();
   const auto snap = client.metrics();
-  EXPECT_EQ(stats.uploads_completed,
-            static_cast<std::size_t>(snap.value("crowdmap_uploads_completed_total")));
-  EXPECT_EQ(stats.uploads_rejected,
-            static_cast<std::size_t>(snap.value("crowdmap_uploads_rejected_total")));
-  EXPECT_EQ(stats.videos_decoded,
-            static_cast<std::size_t>(snap.value("crowdmap_videos_decoded_total")));
-  EXPECT_EQ(stats.decode_failures,
-            static_cast<std::size_t>(snap.value("crowdmap_decode_failures_total")));
+  const auto count = [&](const char* name) {
+    return static_cast<std::size_t>(snap.value(name, node0));
+  };
+  EXPECT_EQ(stats.uploads_completed, count("crowdmap_uploads_completed_total"));
+  EXPECT_EQ(stats.uploads_rejected, count("crowdmap_uploads_rejected_total"));
+  EXPECT_EQ(stats.videos_decoded, count("crowdmap_videos_decoded_total"));
+  EXPECT_EQ(stats.decode_failures, count("crowdmap_decode_failures_total"));
   EXPECT_EQ(stats.trajectories_extracted,
-            static_cast<std::size_t>(
-                snap.value("crowdmap_trajectories_extracted_total")));
+            count("crowdmap_trajectories_extracted_total"));
   EXPECT_EQ(stats.trajectories_dropped,
-            static_cast<std::size_t>(
-                snap.value("crowdmap_trajectories_dropped_total")));
+            count("crowdmap_trajectories_dropped_total"));
 
   // The extraction histogram saw one observation per decoded video, and the
   // drained pool leaves the queue-depth gauge at zero.
@@ -94,7 +93,7 @@ TEST(Service, StatsMatchMetricsRegistry) {
   ASSERT_NE(extract, nullptr);
   ASSERT_EQ(extract->series.size(), 1u);
   EXPECT_EQ(extract->series[0].histogram.count, stats.videos_decoded);
-  EXPECT_DOUBLE_EQ(snap.value("crowdmap_worker_queue_depth"), 0.0);
+  EXPECT_DOUBLE_EQ(snap.value("crowdmap_worker_queue_depth", node0), 0.0);
 }
 
 TEST(Service, ArtifactCacheCountersSurfaceInStatsAndMetrics) {
@@ -103,8 +102,8 @@ TEST(Service, ArtifactCacheCountersSurfaceInStatsAndMetrics) {
   for (const auto& video : videos) (void)client.submit_video(video);
   const std::string building = videos.front().building;
   const int floor = videos.front().floor;
-  (void)client.build_plan({building, floor, std::nullopt});
-  const auto warm = client.build_plan({building, floor, std::nullopt});
+  (void)client.build_plan({building, floor, std::nullopt, {}});
+  const auto warm = client.build_plan({building, floor, std::nullopt, {}});
 
   // The repeat build replayed artifacts; the service-level view agrees with
   // the per-build reuse report and with the exported counters.
@@ -112,7 +111,8 @@ TEST(Service, ArtifactCacheCountersSurfaceInStatsAndMetrics) {
   const auto stats = client.stats();
   EXPECT_GE(stats.artifact_cache.hits, warm.cache.artifact_hits);
   const auto snap = client.metrics();
-  EXPECT_GE(snap.value("crowdmap_artifact_cache_hits_total"),
+  EXPECT_GE(snap.value("crowdmap_artifact_cache_hits_total",
+                       {{"node", "node-0"}}),
             static_cast<double>(warm.cache.artifact_hits));
 }
 
@@ -124,7 +124,7 @@ TEST(Service, DecodeFailureCounted) {
   request.floor = 1;
   request.payload = cl::Blob(64, 7);
   const auto response = client.submit_upload(request);
-  EXPECT_TRUE(response.accepted);
+  EXPECT_TRUE(response.status.ok());
   client.drain();
   const auto stats = client.stats();
   EXPECT_EQ(stats.uploads_completed, 1u);
@@ -134,7 +134,7 @@ TEST(Service, DecodeFailureCounted) {
 
 TEST(Service, UnknownFloorBuildsEmptyPlan) {
   auto client = make_client(1);
-  const auto response = client.build_plan({"Nowhere", 9, std::nullopt});
+  const auto response = client.build_plan({"Nowhere", 9, std::nullopt, {}});
   EXPECT_EQ(response.result.diagnostics.trajectories_kept, 0u);
 }
 
@@ -146,7 +146,7 @@ TEST(Service, ConcurrentSubmissionFromManyClients) {
   for (const auto& video : videos) {
     clients.emplace_back([&client, &video] {
       const auto response = client.submit_video(video);
-      EXPECT_TRUE(response.accepted);
+      EXPECT_TRUE(response.status.ok());
     });
   }
   for (auto& t : clients) t.join();

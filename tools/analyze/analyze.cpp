@@ -62,8 +62,8 @@ const std::vector<LayeringException> kAllowlist = {
      "the evaluation harness drives pipeline stages directly to compare "
      "per-stage output against ground truth"},
     {"eval", "api",
-     "end-to-end accuracy runs exercise the public api::v1 facade exactly "
-     "as an SDK consumer would"},
+     "end-to-end accuracy runs exercise the public api::Client facade "
+     "exactly as an SDK consumer would"},
 };
 
 int layer_rank(const std::string& module) {

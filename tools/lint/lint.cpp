@@ -221,7 +221,6 @@ const char kPipelineConstruction[] = "pipeline-construction";
 const char kMetricHelp[] = "metric-help-required";
 const char kRawIntrinsics[] = "raw-intrinsics";
 const char kRawFileIo[] = "raw-file-io";
-const char kApiEscapeHatch[] = "api-escape-hatch";
 
 const std::regex& raw_rng_pattern() {
   static const std::regex re(
@@ -315,16 +314,6 @@ const std::regex& raw_file_io_pattern() {
       "\\bfopen\\s*\\(|\\bfreopen\\s*\\(|std::[oi]?fstream\\b|"
       "std::filesystem::(remove_all|remove|rename|create_director)\\w*\\s*\\(|"
       "std::rename\\s*\\(|\\bunlink\\s*\\(");
-  return re;
-}
-
-const std::regex& api_escape_hatch_pattern() {
-  // A .service()/->service() call: api::v1's unversioned escape hatch onto
-  // the backing CrowdMapService. Inside src/ the facade may compose with the
-  // service directly; everyone else uses the versioned v2 surface
-  // (document_store(), shard_of(), cluster(), ...) so the facade stays the
-  // compatibility boundary (docs/API.md).
-  static const std::regex re("(\\.|->)\\s*service\\s*\\(\\s*\\)");
   return re;
 }
 
@@ -472,11 +461,6 @@ const std::vector<RuleInfo>& rule_catalog() {
        "remove/rename/mkdir, unlink, std::rename) in src/ outside "
        "src/storage/ and src/io/; route durable state through storage::Env "
        "so writes stay fault-injectable and crash recovery stays provable"},
-      {kApiEscapeHatch,
-       ".service() escape hatch used outside src/; api::v1's unversioned "
-       "backdoor is deprecated — use the versioned api::v2 surface "
-       "(document_store(), stats(), shard_of(), cluster(), ...) so the "
-       "facade stays the compatibility boundary"},
   };
   return catalog;
 }
@@ -501,7 +485,7 @@ std::vector<Finding> lint_content(std::string_view path,
       file.find("src/io/") != std::string::npos || file.rfind("io/", 0) == 0;
   // The pipeline-construction rule only applies outside the src/ tree: the
   // library composes the pipeline internally; everyone else goes through the
-  // api::v1 facade.
+  // api::Client facade (api/v2.hpp).
   const bool in_src =
       file.rfind("src/", 0) == 0 || file.find("/src/") != std::string::npos;
   const auto escapes = collect_escapes(content);
@@ -545,12 +529,7 @@ std::vector<Finding> lint_content(std::string_view path,
     if (!in_src && std::regex_search(code, pipeline_construction_pattern())) {
       report(line, kPipelineConstruction,
              "direct CrowdMapPipeline construction outside src/; use "
-             "api::Client (api/crowdmap.hpp) instead");
-    }
-    if (!in_src && std::regex_search(code, api_escape_hatch_pattern())) {
-      report(line, kApiEscapeHatch,
-             ".service() escape hatch outside src/; use the versioned "
-             "api::v2 surface (document_store(), shard_of(), cluster(), ...)");
+             "api::Client (api/v2.hpp) instead");
     }
     if (!fault_source && std::regex_search(code, fault_point_pattern())) {
       report(line, kFaultPointName,

@@ -128,7 +128,6 @@ int main() {
       for (int r = 0; r < kRepeats; ++r) {
         // This benchmark times the bare stage executor on purpose — the
         // api::Client path is measured separately by micro_incremental.
-        // crowdmap-lint: allow(pipeline-construction)
         core::CrowdMapPipeline pipeline(config);
         sim::generate_campaign_streaming(
             spec, options, 0xFA0175,

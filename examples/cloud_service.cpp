@@ -50,7 +50,6 @@ int main() {
     ++completed;
   });
 
-  // crowdmap-lint: allow(pipeline-construction)
   core::CrowdMapPipeline pipeline(core::PipelineConfig::fast_profile());
   common::Rng rng(0xC10D);
   std::size_t corrupted = 0;

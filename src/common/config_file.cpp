@@ -48,7 +48,6 @@ ConfigFile ConfigFile::parse(const std::string& text) {
 ConfigFile ConfigFile::load(const std::string& path) {
   // Boot-time read of an operator-supplied file, not durable state — the
   // storage::Env indirection buys nothing here.
-  // crowdmap-lint: allow(raw-file-io)
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open config file: " + path);
   std::ostringstream buffer;
@@ -65,7 +64,6 @@ Expected<ConfigFile> ConfigFile::try_parse(const std::string& text) {
 }
 
 Expected<ConfigFile> ConfigFile::try_load(const std::string& path) {
-  // crowdmap-lint: allow(raw-file-io)
   std::ifstream in(path);
   if (!in) return make_error("config.io", "cannot open config file: " + path);
   std::ostringstream buffer;

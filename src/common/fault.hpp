@@ -26,7 +26,7 @@ namespace crowdmap::common {
 /// Central registry of every named fault point. New sites are added HERE and
 /// nowhere else; call sites reference the generated faults::k* constants, so
 /// a typo in a point name is a compile error rather than a silently-dead
-/// fault (enforced by the crowdmap_lint `fault-point-name` rule).
+/// fault (enforced by the crowdmap_analyze `fault-point-name` rule).
 #define CROWDMAP_FAULT_POINT_LIST(X)                                      \
   X(kIngestChunkDrop, "ingest.chunk_drop")                                \
   X(kIngestChunkDuplicate, "ingest.chunk_duplicate")                      \

@@ -42,8 +42,8 @@ Mutex g_write_mutex;
 /// ISO-8601 UTC with milliseconds, e.g. "2026-08-05T12:34:56.789Z".
 /// Wall-clock time is fine here: log timestamps never feed scores or output.
 void format_timestamp(char* buf, std::size_t size) noexcept {
-  const auto now = std::chrono::system_clock::now();    // crowdmap-lint: allow(wall-clock)
-  const std::time_t seconds = std::chrono::system_clock::to_time_t(now);  // crowdmap-lint: allow(wall-clock)
+  const auto now = std::chrono::system_clock::now();
+  const std::time_t seconds = std::chrono::system_clock::to_time_t(now);
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                       now.time_since_epoch())
                       .count() %

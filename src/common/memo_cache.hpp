@@ -111,7 +111,6 @@ class BoundedMemoCache {
     mutable Mutex mutex;
     // Entries are only ever looked up by key, never iterated in an
     // order-sensitive way, so hash-ordering nondeterminism cannot escape.
-    // crowdmap-lint: allow(unordered-container)
     std::unordered_map<std::uint64_t, double> map CM_GUARDED_BY(mutex);
     std::deque<std::uint64_t> order CM_GUARDED_BY(mutex);  // FIFO eviction
   };

@@ -141,7 +141,7 @@ struct PipelineResult {
 /// for embedded use, rather than building pipelines directly — the facade
 /// owns corpus management, artifact caching and degradation reporting, and
 /// is the surface the compatibility guarantees cover. Direct construction
-/// outside src/ is flagged by the crowdmap_lint `pipeline-construction` rule.
+/// outside src/ is flagged by crowdmap_analyze's `pipeline-construction` rule.
 class CrowdMapPipeline {
  public:
   /// `registry` defaults to a fresh per-pipeline registry so counters don't

@@ -12,7 +12,7 @@
 //     all as pure functions of (seed, path, append ordinal), reproducible
 //     at any thread count (docs/DURABILITY.md).
 //
-// The crowdmap_lint `raw-file-io` rule rejects raw fopen/ofstream/rename/
+// The crowdmap_analyze `raw-file-io` rule rejects raw fopen/ofstream/rename/
 // unlink outside src/storage/ and src/io/, so this interface is the single
 // audited seam where durable state touches the OS.
 #pragma once

@@ -1,12 +1,16 @@
 // Tests for crowdmap_analyze: tokenizer edge cases (raw strings, line-spliced
-// comments), the per-file source model, and the three whole-program passes on
-// seeded true-positive fixtures — a layering violation and module cycle, an
-// AB/BA two-mutex deadlock (same-TU and cross-TU through the call graph), a
-// CM_EXCLUDES-while-held call, and a determinism-taint leak with propagation
-// to its caller. Plus the baseline round-trip and the SARIF 2.1.0 shape.
+// comments), the per-file source model, the per-site rules (one table row per
+// case: a snippet, its path, and the lines each rule must fire on), and the
+// three whole-program passes on seeded true-positive fixtures — a layering
+// violation and module cycle, an AB/BA two-mutex deadlock (same-TU and
+// cross-TU through the call graph), a CM_EXCLUDES-while-held call, and a
+// determinism-taint leak with propagation to its caller. Plus repo-relative
+// path handling, the baseline round-trip and the SARIF 2.1.0 shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -161,15 +165,21 @@ TEST(AnalyzeModel, FieldAndMutexDeclsCaptured) {
 // ----------------------------------------------------------------- layering ---
 
 TEST(AnalyzeLayering, UpwardIncludeFires) {
-  const auto findings = run({
-      {"src/io/a.hpp", "#pragma once\n#include \"cache/x.hpp\"\n"},
-      {"src/cache/x.hpp", "#pragma once\n"},
-  });
-  const an::Finding* f = find_rule(findings, "layering-upward");
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->symbol, "io->cache");
-  EXPECT_EQ(f->path, "src/io/a.hpp");
-  EXPECT_EQ(f->line, 2);
+  // However the scanned root was spelled, the rules see the repo-relative
+  // path, so the layer of the file is still known.
+  for (const std::string prefix : {"", "./", "/repo/", "/repo/./src/../"}) {
+    const auto findings = run({
+        {an::repo_relative(prefix + "src/io/a.hpp", "/repo"),
+         "#pragma once\n#include \"cache/x.hpp\"\n"},
+        {an::repo_relative(prefix + "src/cache/x.hpp", "/repo"),
+         "#pragma once\n"},
+    });
+    const an::Finding* f = find_rule(findings, "layering-upward");
+    ASSERT_NE(f, nullptr) << prefix;
+    EXPECT_EQ(f->symbol, "io->cache");
+    EXPECT_EQ(f->path, "src/io/a.hpp");
+    EXPECT_EQ(f->line, 2);
+  }
 }
 
 TEST(AnalyzeLayering, DownwardAndAllowlistedEdgesAreClean) {
@@ -498,6 +508,188 @@ TEST(AnalyzeTaint, UnorderedIterationIsASource) {
   EXPECT_EQ(f->symbol, "crowdmap::vision::Acc::sum");
 }
 
+// ----------------------------------------------------------- per-site rules ---
+
+namespace {
+
+/// One per-site case: `snippet` scanned as `path`, and for each listed rule
+/// the lines it must fire on (empty: it must stay silent). The rule "" means
+/// every finding of every rule.
+struct SiteCase {
+  const char* name;
+  const char* path;
+  const char* snippet;
+  std::map<std::string, std::set<int>> expect;
+};
+
+std::set<int> lines_of(const std::vector<an::Finding>& findings,
+                       const std::string& rule) {
+  std::set<int> lines;
+  for (const an::Finding& f : findings) {
+    if (rule.empty() || f.rule == rule) lines.insert(f.line);
+  }
+  return lines;
+}
+
+const std::vector<SiteCase> kSiteCases = {
+    {"CleanFileHasNoFindings", "src/foo/bar.cpp",
+     "#include \"foo.hpp\"\nint add(int a, int b) { return a + b; }\n", {{"", {}}}},
+    {"RawRngFiresOnRand", "src/sim/x.cpp", "int x = rand() % 6;\n", {{"raw-rng", {1}}}},
+    {"RawRngFiresOnMt19937AndRandomDevice", "src/a.cpp",
+     "std::mt19937 gen(std::random_device{}());\n", {{"raw-rng", {1}}}},
+    {"RawRngExemptInsideRngSources", "src/common/rng.cpp", "int x = rand();\n",
+     {{"raw-rng", {}}}},
+    {"RawRngIgnoresIdentifierSuffixes", "src/a.cpp",
+     "int y = brand() + operand(2);\n", {{"raw-rng", {}}}},
+    // Shaped like a C test that seeds rand() from the clock.
+    {"WallClockSeedFeedingRand", "tests/test_line_map.cpp",
+     "void test_line_map() {\n"
+     "  time_t tm;\n"
+     "  time(&tm);\n"
+     "  srand(tm);\n"
+     "  double x = (rand() / (double)RAND_MAX) * 45000.0;\n"
+     "}\n",
+     {{"wall-clock", {3}}, {"raw-rng", {4, 5}}}},
+    {"WallClockFiresOnSystemClock", "src/a.cpp",
+     "auto t = std::chrono::system_clock::now();\n", {{"wall-clock", {1}}}},
+    {"WallClockFiresOnTimeCall", "src/a.cpp", "long t = time(nullptr);\n",
+     {{"wall-clock", {1}}}},
+    {"WallClockAllowsSteadyClock", "src/a.cpp",
+     "auto t = std::chrono::steady_clock::now();\n", {{"wall-clock", {}}}},
+    {"WallClockAllowsTimeLikeIdentifiers", "src/a.cpp",
+     "gmtime_r(&s, &utc); auto x = to_time_t_like(1);\n", {{"wall-clock", {}}}},
+    {"UnorderedContainerFires", "src/a.cpp",
+     "std::unordered_map<int, int> m;\nstd::unordered_set<int> s;\n",
+     {{"unordered-container", {1, 2}}}},
+    {"NakedNewFires", "src/a.cpp", "int* p = new int(3);\ndelete p;\n",
+     {{"naked-new", {1, 2}}}},
+    {"DeletedMemberFunctionsAreNotNakedDelete", "src/a.hpp",
+     "#pragma once\nstruct S { S(const S&) = delete; };\n", {{"naked-new", {}}}},
+    {"NewInIdentifiersDoesNotFire", "src/a.cpp",
+     "int new_width = renew(old_width);\n", {{"naked-new", {}}}},
+    {"FloatAccumulatorFires", "src/a.cpp", "float acc = 0.0f;\nfloat score_sum = 0;\n",
+     {{"float-accumulator", {1, 2}}}},
+    {"FloatNonAccumulatorsPass", "src/a.cpp",
+     "float dc = 0.0f;\nconst float total = w * h;\n", {{"float-accumulator", {}}}},
+    {"HeaderWithoutPragmaOnceFires", "src/a.hpp", "struct S {};\n",
+     {{"pragma-once", {1}}}},
+    {"HeaderWithPragmaOncePasses", "src/a.hpp", "// doc\n#pragma once\nstruct S {};\n",
+     {{"pragma-once", {}}}},
+    {"SourceFilesDoNotNeedPragmaOnce", "src/a.cpp", "int x;\n", {{"pragma-once", {}}}},
+    {"FaultPointNameFiresOnFromNameParse", "src/core/pipeline.cpp",
+     "auto p = common::fault_point_from_name(spec);\n", {{"fault-point-name", {1}}}},
+    {"FaultPointNameFiresOnIntegerCast", "src/cloud/service.cpp",
+     "auto p = static_cast<common::FaultPoint>(i);\n", {{"fault-point-name", {1}}}},
+    {"FaultPointNameFiresOnBraceInit", "src/core/pipeline.cpp",
+     "const auto p = common::FaultPoint{3};\n", {{"fault-point-name", {1}}}},
+    {"FaultPointNameExemptInsideFaultSources", "src/common/fault.cpp",
+     "auto p = static_cast<FaultPoint>(index);\n", {{"fault-point-name", {}}}},
+    {"FaultPointNamedConstantsPass", "src/core/pipeline.cpp",
+     "faults_.should_fire(common::faults::kDecodeFail, key);\n"
+     "for (const auto point : common::all_fault_points()) use(point);\n",
+     {{"", {}}}},
+    {"PipelineConstructionFiresOutsideSrc_ByValue", "tests/test_core.cpp",
+     "co::CrowdMapPipeline pipeline(config);\n", {{"pipeline-construction", {1}}}},
+    {"PipelineConstructionFiresOutsideSrc_MakeUnique", "bench/micro.cpp",
+     "auto p = std::make_unique<core::CrowdMapPipeline>(c);\n",
+     {{"pipeline-construction", {1}}}},
+    {"PipelineConstructionFiresOutsideSrc_New", "examples/demo.cpp",
+     "auto* p = new core::CrowdMapPipeline(c);\n", {{"pipeline-construction", {1}}}},
+    {"PipelineConstructionAllowedInsideSrc", "src/core/incremental.cpp",
+     "CrowdMapPipeline pipeline(config_, registry_);\n",
+     {{"pipeline-construction", {}}}},
+    {"PipelineReferencesAndMentionsPass", "tests/test_x.cpp",
+     "// CrowdMapPipeline is internal; go through the api\n"
+     "void drive(core::CrowdMapPipeline& pipeline);\n",
+     {{"pipeline-construction", {}}}},
+    // histogram() takes its buckets before the help.
+    {"MetricHelpFiresOnMissingHelp", "src/cloud/x.cpp",
+     "auto& c = registry.counter(\"crowdmap_x_total\", {});\n"
+     "auto& h = registry->histogram(\"crowdmap_x_seconds\", {},\n"
+     "                              obs::Histogram::default_latency_buckets());\n",
+     {{"metric-help-required", {1, 2}}}},
+    {"MetricHelpFiresOnEmptyHelp", "src/cloud/x.cpp",
+     "registry.gauge(\"crowdmap_depth\", {}, \"\");\n",
+     {{"metric-help-required", {1}}}},
+    {"MetricHelpPassesWithHelpAcrossLinesAndNestedBraces", "src/cloud/x.cpp",
+     "auto& c = registry.counter(\n"
+     "    \"crowdmap_slo_breaches_total\", {{\"slo\", spec.name}},\n"
+     "    \"SLO threshold crossings detected by the watchdog\");\n"
+     "auto& h = registry.histogram(\"crowdmap_x_seconds\", {},\n"
+     "                             {0.1, 1.0}, \"latency\");\n",
+     {{"metric-help-required", {}}}},
+    // Lookups that forward a runtime name are not registrations.
+    {"MetricHelpIgnoresNonLiteralNames", "src/cloud/x.cpp",
+     "auto& c = registry.counter(name, labels);\n", {{"metric-help-required", {}}}},
+    {"CommentMentionsDoNotFire", "src/a.cpp",
+     "// Chosen over std::mt19937 because ...\n/* delete new rand() system_clock */\n",
+     {{"", {}}}},
+    {"StringLiteralMentionsDoNotFire", "src/a.cpp",
+     "const char* msg = \"never call rand() or new here\";\n", {{"", {}}}},
+    {"CodeAfterBlockCommentStillFires", "src/a.cpp", "/* why not */ int x = rand();\n",
+     {{"raw-rng", {1}}}},
+    {"RawIntrinsicsFiresOnIntelInclude", "src/vision/x.cpp",
+     "#include <immintrin.h>\n#include <emmintrin.h>\n", {{"raw-intrinsics", {1, 2}}}},
+    {"RawIntrinsicsFiresOnNeonInclude", "src/vision/x.cpp", "#include <arm_neon.h>\n",
+     {{"raw-intrinsics", {1}}}},
+    {"RawIntrinsicsFiresOnIntrinsicCallsAndTypes", "src/a.cpp",
+     "auto v = _mm_loadu_ps(p);\nauto w = _mm256_add_pd(a, b);\n"
+     "auto x = vld1q_f32(p);\n__m128 acc4;\n",
+     {{"raw-intrinsics", {1, 2, 3, 4}}}},
+    {"RawIntrinsicsExemptInsideSimdWrapper_Header", "src/common/simd.hpp",
+     "#include <immintrin.h>\nauto v = _mm_loadu_ps(p);\n", {{"raw-intrinsics", {}}}},
+    {"RawIntrinsicsExemptInsideSimdWrapper_Source", "src/common/simd.cpp",
+     "auto v = vld1q_f32(p);\n", {{"raw-intrinsics", {}}}},
+    {"RawIntrinsicsIgnoresCommentAndStringMentions", "src/a.cpp",
+     "// faster than _mm_loadu_ps on this target\n"
+     "const char* s = \"#include <immintrin.h>\";\n",
+     {{"raw-intrinsics", {}}}},
+    {"RawIntrinsicsAllowsLookalikeIdentifiers", "src/a.cpp",
+     "int comm_mm_count = 0; auto svld = svld1q_helper();\n", {{"raw-intrinsics", {}}}},
+    {"RawFileIoFiresOnStreamsAndStdio", "src/cloud/x.cpp",
+     "std::ofstream out(path);\nstd::ifstream in(path);\n"
+     "FILE* f = fopen(path, \"wb\");\n",
+     {{"raw-file-io", {1, 2, 3}}}},
+    {"RawFileIoFiresOnFilesystemMutation", "src/cloud/x.cpp",
+     "std::filesystem::rename(tmp, final);\nstd::filesystem::remove_all(dir);\n"
+     "std::filesystem::create_directories(dir);\nstd::rename(a, b);\n"
+     "unlink(path.c_str());\n",
+     {{"raw-file-io", {1, 2, 3, 4, 5}}}},
+    {"RawFileIoExemptInsideStorageAndIoLayers_Storage", "src/storage/env.cpp",
+     "std::rename(tmp.c_str(), path.c_str());\n", {{"raw-file-io", {}}}},
+    {"RawFileIoExemptInsideStorageAndIoLayers_Io", "src/io/image_io.cpp",
+     "std::ofstream out(path);\n", {{"raw-file-io", {}}}},
+    {"RawFileIoOnlyAppliesUnderSrc_Tools", "tools/gate/gate.cpp",
+     "std::ofstream out(path);\n", {{"raw-file-io", {}}}},
+    {"RawFileIoOnlyAppliesUnderSrc_Tests", "tests/test_x.cpp",
+     "FILE* f = fopen(p, \"rb\");\n", {{"raw-file-io", {}}}},
+    {"RawFileIoIgnoresTheRemoveAlgorithm", "src/cloud/x.cpp",
+     "v.erase(std::remove(v.begin(), v.end(), id), v.end());\n"
+     "auto it = std::remove_if(v.begin(), v.end(), pred);\n",
+     {{"raw-file-io", {}}}},
+    {"RawFileIoIgnoresCommentAndStringMentions", "src/cloud/x.cpp",
+     "// previously wrote via std::ofstream + fopen()\n"
+     "const char* s = \"std::filesystem::rename\";\n",
+     {{"raw-file-io", {}}}},
+};
+
+// gtest prints the row name, and ctest names each test after it.
+void PrintTo(const SiteCase& c, std::ostream* os) { *os << c.name; }
+
+class SiteRule : public testing::TestWithParam<SiteCase> {};
+
+}  // namespace
+
+TEST_P(SiteRule, FiresOnExactlyTheExpectedLines) {
+  const SiteCase& c = GetParam();
+  const auto findings = run({{c.path, c.snippet}});
+  for (const auto& [rule, lines] : c.expect) {
+    EXPECT_EQ(lines_of(findings, rule), lines) << "rule '" << rule << "'";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AnalyzeSites, SiteRule, testing::ValuesIn(kSiteCases));
+
 // ------------------------------------------------------------ baseline/sarif ---
 
 TEST(AnalyzeBaseline, RoundTripSuppressesKnownFindings) {
@@ -519,6 +711,41 @@ TEST(AnalyzeBaseline, RoundTripSuppressesKnownFindings) {
   const auto fresh = an::new_findings(next, keys);
   ASSERT_EQ(fresh.size(), 1u);
   EXPECT_EQ(fresh[0].rule, "layering-upward");
+}
+
+TEST(AnalyzeBaseline, SiteFindingSuppressedByItsKey) {
+  // Function bodies, class bodies, namespace scope and macro bodies are all
+  // scanned. The key names the enclosing scope and the offending token (the
+  // file, for pragma-once), never the line.
+  std::vector<an::Finding> sites;
+  std::string baseline = "# each entry is justified here\n";
+  for (const auto& f : run({{"src/sim/dice.hpp",
+                             "namespace crowdmap::sim {\n"
+                             "std::unordered_set<int> seen;\n"
+                             "#define NOW() std::chrono::system_clock::now()\n"
+                             "class Dice {\n"
+                             "  std::ranlux24_base gen_;\n"
+                             "  int roll() { return rand() % 6; }\n"
+                             "};\n"
+                             "}  // namespace\n"}})) {
+    if (f.rule == "determinism-taint") continue;
+    sites.push_back(f);
+    baseline += an::baseline_key(f) + "\n";
+  }
+  EXPECT_EQ(baseline,
+            "# each entry is justified here\n"
+            "pragma-once|src/sim/dice.hpp|src/sim/dice.hpp\n"
+            "raw-rng|src/sim/dice.hpp|crowdmap::sim::Dice!ranlux24_base\n"
+            "raw-rng|src/sim/dice.hpp|crowdmap::sim::Dice::roll!rand\n"
+            "unordered-container|src/sim/dice.hpp|crowdmap::sim!unordered_set\n"
+            "wall-clock|src/sim/dice.hpp|crowdmap::sim!system_clock\n");
+  auto keys = an::parse_baseline(baseline);
+  EXPECT_TRUE(an::new_findings(sites, keys).empty());
+  // Removing one key brings back exactly its finding.
+  keys.erase("raw-rng|src/sim/dice.hpp|crowdmap::sim::Dice::roll!rand");
+  const auto back = an::new_findings(sites, keys);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].line, 6);
 }
 
 TEST(AnalyzeBaseline, ParserSkipsCommentsAndBlanks) {
@@ -545,11 +772,64 @@ TEST(AnalyzeSarif, MinimalShape) {
 }
 
 TEST(AnalyzeCatalog, RulesAndLayersExposed) {
-  EXPECT_EQ(an::rule_catalog().size(), 6u);
+  const auto& catalog = an::rule_catalog();
+  EXPECT_EQ(catalog.size(), 17u);
   EXPECT_FALSE(an::layer_table().empty());
   EXPECT_EQ(an::layer_table().front().module, "api");
   EXPECT_EQ(an::layer_table().back().module, "common");
   for (const auto& exc : an::layering_allowlist()) {
     EXPECT_FALSE(std::string(exc.why).empty());
   }
+}
+
+// Every rule that fires is in the catalog (--list-rules, the SARIF table).
+TEST(AnalyzeCatalog, NamesEveryFiringRule) {
+  const auto& catalog = an::rule_catalog();
+  const auto findings =
+      run({{"src/a.hpp",
+            "std::unordered_map<int, int> m;\n"
+            "float acc = 0.f;\n"
+            "int* p = new int(rand() + int(time(nullptr)));\n"}});
+  EXPECT_FALSE(findings.empty());
+  for (const auto& finding : findings) {
+    EXPECT_TRUE(std::any_of(
+        catalog.begin(), catalog.end(),
+        [&](const an::RuleInfo& r) { return r.name == finding.rule; }))
+        << finding.rule;
+  }
+}
+
+TEST(AnalyzeFormat, IsCompilerStyle) {
+  const an::Finding f{"raw-rng", "src/a.cpp", 12, "crowdmap::sim::roll!rand",
+                      "msg"};
+  EXPECT_EQ(an::format(f),
+            "src/a.cpp:12: [raw-rng] crowdmap::sim::roll!rand: msg");
+}
+
+// --------------------------------------------------------------------- paths ---
+
+TEST(AnalyzePaths, RepoRelativeNormalizesEverySpelling) {
+  EXPECT_EQ(an::repo_relative("./src/a.hpp", "/repo"), "src/a.hpp");
+  EXPECT_EQ(an::repo_relative("src/x/../a.hpp", "/repo"), "src/a.hpp");
+  EXPECT_EQ(an::repo_relative("/repo/src/a.hpp", "/repo"), "src/a.hpp");
+  EXPECT_EQ(an::repo_relative("/repo/./src/a.hpp", "/repo/"), "src/a.hpp");
+  // Outside the root a path stays absolute: no src/-scoped rule applies.
+  EXPECT_EQ(an::repo_relative("/other/src/a.hpp", "/repo"), "/other/src/a.hpp");
+}
+
+TEST(AnalyzePaths, RealTreeReportIgnoresRootSpelling) {
+  const std::string root = CROWDMAP_SOURCE_DIR;
+  const auto report = [&](const std::vector<std::string>& roots) {
+    std::vector<std::string> errors;
+    std::vector<std::string> lines;
+    for (const auto& f : an::analyze(an::load_tree(roots, root, errors))) {
+      lines.push_back(an::format(f));
+    }
+    EXPECT_TRUE(errors.empty());
+    return lines;
+  };
+  const auto plain = report({"src", "tools", "bench"});
+  EXPECT_FALSE(plain.empty());
+  EXPECT_EQ(report({"./src", "./tools", "./bench"}), plain);
+  EXPECT_EQ(report({root + "/src", root + "/tools/", root + "/bench"}), plain);
 }

@@ -1,8 +1,9 @@
 // Tests for configuration files and pipeline config overrides, plus the
 // drift pins that keep config_key_table(), --help-config and docs/CONFIG.md
-// describing the same key set.
+// describing the same key set, and README.md linking every required doc.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -173,6 +174,29 @@ TEST(ConfigKeyTable, DocsConfigMdMatchesTable) {
       EXPECT_NE(doc.find("`" + std::string(info.alias) + "`"),
                 std::string::npos)
           << "docs/CONFIG.md is missing alias " << info.alias;
+    }
+  }
+}
+
+TEST(Docs, RequiredDocsExistAndReadmeLinksThem) {
+  // A subsystem cannot land without its page existing and being reachable
+  // from the README.
+  const std::string root = CROWDMAP_SOURCE_DIR;
+  std::ifstream in(root + "/README.md");
+  ASSERT_TRUE(in.good()) << "README.md is missing";
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string readme = buffer.str();
+  for (const std::string doc :
+       {"API.md", "CLUSTER.md", "CONFIG.md", "DURABILITY.md", "EXAMPLES.md",
+        "INCREMENTAL.md", "OBSERVABILITY.md", "PERFORMANCE.md", "ROBUSTNESS.md",
+        "STATIC_ANALYSIS.md"}) {
+    if (!std::filesystem::is_regular_file(root + "/docs/" + doc)) {
+      ADD_FAILURE() << "docs/" << doc << ": [missing-doc] required document "
+                    << "does not exist";
+    } else {
+      EXPECT_NE(readme.find("docs/" + doc), std::string::npos)
+          << "README.md: [unreferenced-doc] docs/" << doc << " is never linked";
     }
   }
 }

@@ -48,7 +48,6 @@ TEST(Pipeline, JunkUploadDropped) {
   options.fps = 3.0;
   cs::UserSimulator user(scene, spec, options, cc::Rng(211));
 
-  // crowdmap-lint: allow(pipeline-construction)
   co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
   pipeline.ingest(user.junk_video(cs::Lighting::day()));
   pipeline.ingest(user.hallway_walk(cs::Lighting::day()));
@@ -57,7 +56,6 @@ TEST(Pipeline, JunkUploadDropped) {
 }
 
 TEST(Pipeline, IngestTrajectoryGates) {
-  // crowdmap-lint: allow(pipeline-construction)
   co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
   crowdmap::trajectory::Trajectory empty;
   pipeline.ingest_trajectory(empty);  // no keyframes -> dropped
@@ -66,7 +64,6 @@ TEST(Pipeline, IngestTrajectoryGates) {
 }
 
 TEST(Pipeline, RunOnEmptyInputProducesEmptyPlan) {
-  // crowdmap-lint: allow(pipeline-construction)
   co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
   const auto result = pipeline.run();
   EXPECT_EQ(result.diagnostics.trajectories_kept, 0u);
@@ -81,7 +78,6 @@ TEST(Pipeline, EndToEndSmallCampaign) {
   const auto spec = cs::random_building(4, rng);
   const auto options = small_campaign_options();
 
-  // crowdmap-lint: allow(pipeline-construction)
   co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
   cs::generate_campaign_streaming(
       spec, options, 223,
@@ -112,7 +108,6 @@ TEST(Pipeline, TraceAgreesWithDiagnostics) {
   const auto spec = cs::random_building(2, rng);
   cs::CampaignOptions options = small_campaign_options();
   options.hallway_walks = 4;
-  // crowdmap-lint: allow(pipeline-construction)
   co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
   cs::generate_campaign_streaming(
       spec, options, 233,
@@ -156,7 +151,6 @@ TEST(Pipeline, WorldFrameControlsExtent) {
   const auto spec = cs::random_building(2, rng);
   cs::CampaignOptions options = small_campaign_options();
   options.hallway_walks = 4;
-  // crowdmap-lint: allow(pipeline-construction)
   co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
   cs::generate_campaign_streaming(
       spec, options, 227,
@@ -175,7 +169,6 @@ TEST(Pipeline, RoomDedupMergesRevisits) {
   cs::CampaignOptions options = small_campaign_options();
   options.room_videos_per_room = 2;
   options.hallway_walks = 6;
-  // crowdmap-lint: allow(pipeline-construction)
   co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
   cs::generate_campaign_streaming(
       spec, options, 229,

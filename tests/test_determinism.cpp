@@ -38,7 +38,6 @@ crowdmap::io::Bytes serialized_run(std::uint64_t seed, std::size_t threads) {
   co::PipelineConfig config = co::PipelineConfig::fast_profile();
   config.parallel.threads = threads;
   // The bare stage executor is the unit under test here.
-  // crowdmap-lint: allow(pipeline-construction)
   co::CrowdMapPipeline pipeline(config);
   cs::generate_campaign_streaming(
       spec, options, seed,

@@ -229,7 +229,6 @@ PipelineRun seeded_run(std::size_t threads, bool flight_enabled,
   config.flight.ring_capacity = 1u << 16;  // no wraparound in this workload
   config.faults = std::move(faults);
   // The bare stage executor is the unit under test here.
-  // crowdmap-lint: allow(pipeline-construction)
   co::CrowdMapPipeline pipeline(config);
   cs::generate_campaign_streaming(
       spec, options, 777,
@@ -285,7 +284,6 @@ TEST(Flight, ChaosFaultFiresAnomalyDump) {
   config.flight.enabled = true;
   config.flight.dump_on_anomaly = true;
   config.faults = plan;
-  // crowdmap-lint: allow(pipeline-construction)
   co::CrowdMapPipeline pipeline(config);
 
   int dumps = 0;

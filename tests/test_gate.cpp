@@ -1,7 +1,7 @@
 // Gate-library suite (tools/gate): BENCH line and tolerance-manifest
 // parsing, the --check baseline self-validation, and the fresh-run gate
 // (regressions, vanished series, new series notes) — all on in-memory
-// lines, mirroring how tests/test_lint.cpp drives the lint engine.
+// lines, mirroring how tests/test_analyze.cpp drives the analyzer.
 #include <gtest/gtest.h>
 
 #include <string>

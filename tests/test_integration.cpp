@@ -82,7 +82,6 @@ TEST_P(RandomBuildingSweep, PipelinePlacesAndReconstructs) {
   options.junk_fraction = 0.0;
   options.sim.fps = 3.0;
 
-  // crowdmap-lint: allow(pipeline-construction)
   co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
   crowdmap::sim::generate_campaign_streaming(
       building, options, 400 + static_cast<std::uint64_t>(n_rooms),

@@ -348,7 +348,6 @@ co::PipelineResult run_small_campaign(std::size_t threads) {
 
   co::PipelineConfig config = co::PipelineConfig::fast_profile();
   config.parallel.threads = threads;
-  // crowdmap-lint: allow(pipeline-construction)
   co::CrowdMapPipeline pipeline(config);
   cs::generate_campaign_streaming(
       spec, options, 223,

@@ -582,7 +582,6 @@ TEST(SimdPipeline, FloorPlanBytesInvariantToDispatchAndThreads) {
     config.parallel.threads = threads;
     config.simd.force_scalar = force_scalar;
     // The bare stage executor is the unit under test here.
-    // crowdmap-lint: allow(pipeline-construction)
     co::CrowdMapPipeline pipeline(config);
     cs::generate_campaign_streaming(
         spec, options, 0x51D8,

@@ -35,6 +35,48 @@ const std::vector<RuleInfo> kRules = {
      "function is transitively reachable from a wall-clock / raw-RNG / "
      "unordered-iteration source and does not terminate in an allowlisted "
      "sink (log lines, seeded RNG wrapper, obs timestamps)"},
+    // Per-site rules: each flags one construct at its own line.
+    {"raw-rng",
+     "raw generators (rand(), std::random_device, std::mt19937, ...) outside "
+     "src/common/rng.*; draw from the seeded common::Rng instead"},
+    {"wall-clock",
+     "wall-clock time (std::chrono::system_clock, time(), localtime, ...) "
+     "in pipeline/scoring code; results must not depend on when they run"},
+    {"unordered-container",
+     "std::unordered_map/set: hash iteration order is nondeterministic and "
+     "must not feed reductions or serialized output; use std::map/std::set "
+     "or sorted vectors"},
+    {"naked-new",
+     "naked new/delete; use std::make_unique, std::make_shared or containers "
+     "so ownership is RAII-managed"},
+    {"float-accumulator",
+     "zero-initialized float accumulator; accumulate in double and cast at "
+     "the boundary so score paths keep full precision"},
+    {"pragma-once", "every header must start its include guard with #pragma once"},
+    {"fault-point-name",
+     "FaultPoint synthesized outside src/common/fault.* (from-name parse, "
+     "integer cast, or brace init); interrogate the named common::faults::k* "
+     "constants or iterate all_fault_points() so the catalog stays the "
+     "single source of truth"},
+    {"pipeline-construction",
+     "core::CrowdMapPipeline constructed outside src/; the pipeline is an "
+     "internal stage executor — go through api::Client (or "
+     "core::IncrementalPlanner) so callers get the versioned surface, "
+     "artifact caching and background refresh"},
+    {"metric-help-required",
+     "counter()/gauge()/histogram() registration without non-empty help "
+     "text; the Prometheus export ships # HELP lines and an unexplained "
+     "metric is unusable at 3am — pass the help argument"},
+    {"raw-intrinsics",
+     "raw SIMD intrinsics (<immintrin.h>/<arm_neon.h> includes, _mm_*/"
+     "vld1q_* calls, __m128/__m256 types) outside src/common/simd.hpp; use "
+     "the portable wrapper's kernels and lane types so every hot path keeps "
+     "the scalar-vs-vector bit-exactness contract"},
+    {"raw-file-io",
+     "raw file I/O (fopen, std::ofstream/ifstream, std::filesystem "
+     "remove/rename/mkdir, unlink, std::rename) in src/ outside "
+     "src/storage/ and src/io/; route durable state through storage::Env "
+     "so writes stay fault-injectable and crash recovery stays provable"},
 };
 
 // Declared layering, top first. Rank grows downward; an include edge is
@@ -671,6 +713,9 @@ const std::vector<LayeringException>& layering_allowlist() { return kAllowlist; 
 
 std::vector<Finding> analyze(const std::vector<FileModel>& models) {
   std::vector<Finding> out;
+  for (const FileModel& m : models) {  // per-site rules, run by build_model
+    out.insert(out.end(), m.sites.begin(), m.sites.end());
+  }
   layering_pass(models, out);
   include_cycle_pass(models, out);
 
@@ -683,10 +728,17 @@ std::vector<Finding> analyze(const std::vector<FileModel>& models) {
   lock_pass(merged, by_name, types, out);
   taint_pass(merged, by_name, types, out);
 
-  std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
-    return std::tie(a.rule, a.path, a.line, a.symbol) <
-           std::tie(b.rule, b.path, b.line, b.symbol);
-  });
+  const auto key = [](const Finding& f) {
+    return std::tie(f.rule, f.path, f.line, f.symbol);
+  };
+  std::sort(out.begin(), out.end(),
+            [&](const Finding& a, const Finding& b) { return key(a) < key(b); });
+  // One finding per site: `rand() + rand()` is one line to fix.
+  out.erase(std::unique(out.begin(), out.end(),
+                        [&](const Finding& a, const Finding& b) {
+                          return key(a) == key(b);
+                        }),
+            out.end());
   return out;
 }
 

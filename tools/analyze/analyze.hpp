@@ -1,8 +1,11 @@
-// crowdmap_analyze — whole-program analyzer for the CrowdMap tree.
+// crowdmap_analyze — the static analyzer for the CrowdMap tree.
 //
-// Where crowdmap_lint checks each line in isolation, this tool builds a
-// model of every translation unit (tools/analyze/model.hpp) and runs three
-// cross-file passes:
+// It builds a model of every translation unit (tools/analyze/model.hpp).
+// While building it, the per-site rules (raw-rng, wall-clock,
+// unordered-container, naked-new, float-accumulator, pragma-once,
+// fault-point-name, pipeline-construction, metric-help-required,
+// raw-intrinsics, raw-file-io) flag each offending construct at its own
+// line, in any scope. Then three cross-file passes run:
 //
 //   layering     — the module DAG below is enforced over the include graph:
 //                  cross-layer includes must point downward; same-layer
@@ -21,9 +24,9 @@
 //                  (logging, the seeded RNG wrapper, observability stamps).
 //
 // Output is human text and SARIF 2.1.0. A committed baseline file
-// (tools/analyze/baseline.txt) suppresses known findings by stable key;
-// --check-baseline fails only on NEW findings so CI gates on regressions
-// while the baseline is paid down. Rationale: docs/STATIC_ANALYSIS.md.
+// (tools/analyze/baseline.txt) is the only suppression mechanism: it lists
+// known findings by stable key, and --check-baseline fails only on NEW
+// findings. Rationale: docs/STATIC_ANALYSIS.md.
 #pragma once
 
 #include <map>
@@ -35,17 +38,6 @@
 #include "analyze/model.hpp"
 
 namespace crowdmap::analyze {
-
-/// One analyzer finding. `symbol` is the stable identity used for baseline
-/// keys (module edge, mutex cycle, function name) — line numbers are *not*
-/// part of the key so the baseline survives unrelated edits.
-struct Finding {
-  std::string rule;
-  std::string path;
-  int line = 0;
-  std::string symbol;
-  std::string message;
-};
 
 /// Catalog entry: rule name plus a one-line rationale (drives --list-rules,
 /// the SARIF rule table, and docs).
@@ -73,8 +65,9 @@ struct LayeringException {
 
 [[nodiscard]] const std::vector<LayeringException>& layering_allowlist();
 
-/// Runs all passes over the given file models (one per scanned file) and
-/// returns findings sorted by (rule, path, line, symbol).
+/// Reports the per-site hits of the given file models (one per scanned
+/// file) and runs the cross-file passes over them; returns findings sorted
+/// by (rule, path, line, symbol), one per site.
 [[nodiscard]] std::vector<Finding> analyze(const std::vector<FileModel>& models);
 
 /// "path:line: [rule] symbol: message" — compiler-style diagnostic line.

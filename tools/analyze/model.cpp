@@ -1,10 +1,15 @@
 #include "analyze/model.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <fstream>
 #include <optional>
 #include <set>
+#include <sstream>
 
 namespace crowdmap::analyze {
+
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -32,24 +37,270 @@ struct Scope {
   int function_index = -1;   // into FileModel::functions, for kFunction
 };
 
-/// Raw-RNG / wall-clock source identifiers (mirrors the lint rules; the
-/// analyzer adds whole-program propagation on top). steady_clock is absent
-/// by design — it feeds latency metrics, never scores.
+// ------------------------------------------------ determinism sources ---
+
+// The one table of nondeterminism sources: the per-site wall-clock, raw-rng
+// and unordered-container rules flag every use, and the taint pass treats
+// the same uses inside function bodies as sources. steady_clock is absent by
+// design — it feeds latency metrics, never scores.
 bool wall_clock_ident(const std::string& s) {
   return s == "system_clock" || s == "gettimeofday" || s == "localtime" ||
          s == "mktime";
 }
 
+/// C-library clock reads; only a call is a source (`time` alone is a name).
+bool wall_clock_call(const std::string& s) { return s == "time" || s == "clock"; }
+
+/// Every standard engine plus std::random_device.
 bool raw_rng_ident(const std::string& s) {
   return s == "random_device" || s == "mt19937" || s == "mt19937_64" ||
          s == "minstd_rand" || s == "minstd_rand0" ||
          s == "default_random_engine" || s == "ranlux24" || s == "ranlux48" ||
-         s == "knuth_b";
+         s == "ranlux24_base" || s == "ranlux48_base" || s == "knuth_b";
 }
+
+bool raw_rng_call(const std::string& s) { return s == "rand" || s == "srand"; }
 
 bool unordered_ident(const std::string& s) {
   return s == "unordered_map" || s == "unordered_set" ||
          s == "unordered_multimap" || s == "unordered_multiset";
+}
+
+// ------------------------------------------------------- per-site rules ---
+
+bool punct_at(const std::vector<Token>& t, std::size_t k, std::string_view p) {
+  return k < t.size() && t[k].kind == TokKind::kPunct && t[k].text == p;
+}
+
+/// True when t[i] is spelled `ns::name`.
+bool qualified(const std::vector<Token>& t, std::size_t i, std::string_view ns) {
+  return i >= 2 && punct_at(t, i - 1, "::") &&
+         t[i - 2].kind == TokKind::kIdentifier && t[i - 2].text == ns;
+}
+
+/// `0`, `0.`, `0.0`, `0.f`, `0.0f`: the zero a float accumulator starts at.
+bool zero_literal(const std::vector<Token>& t, std::size_t k) {
+  return k < t.size() && t[k].kind == TokKind::kNumber && t[k].text[0] == '0' &&
+         t[k].text.find_first_not_of("0.f") == std::string::npos;
+}
+
+/// `float <name> = 0;` / `= 0.0f,` / `{}` / `{0.f}` where the name reads
+/// like an accumulator.
+bool float_accumulator(const std::vector<Token>& t, std::size_t i) {
+  if (t[i].text != "float" || i + 2 >= t.size() ||
+      t[i + 1].kind != TokKind::kIdentifier) {
+    return false;
+  }
+  const std::size_t k = i + 2;
+  const bool zero =
+      (punct_at(t, k, "=") && zero_literal(t, k + 1) &&
+       (punct_at(t, k + 2, ";") || punct_at(t, k + 2, ","))) ||
+      (punct_at(t, k, "{") &&
+       (punct_at(t, k + 1, "}") ||
+        (zero_literal(t, k + 1) && punct_at(t, k + 2, "}"))));
+  if (!zero) return false;
+  std::string name = t[i + 1].text;
+  std::transform(name.begin(), name.end(), name.begin(), [](unsigned char c) {
+    return static_cast<char>(std::tolower(c));
+  });
+  for (const char* hint :
+       {"acc", "sum", "total", "score", "err", "norm", "mean", "avg", "energy"}) {
+    if (name.find(hint) != std::string::npos) return true;
+  }
+  return false;
+}
+
+/// A FaultPoint made outside the catalog: parsed from a string, cast from
+/// an integer, or brace-initialized.
+bool synthesizes_fault_point(const std::vector<Token>& t, std::size_t i) {
+  const std::string& s = t[i].text;
+  if (s == "fault_point_from_name") return punct_at(t, i + 1, "(");
+  if (s == "FaultPoint") return punct_at(t, i + 1, "{");
+  if (s != "static_cast" || !punct_at(t, i + 1, "<")) return false;
+  std::size_t k = i + 2;
+  while (k < t.size() && !punct_at(t, k, ">") && !punct_at(t, k, ";")) ++k;
+  return punct_at(t, k, ">") && t[k - 1].kind == TokKind::kIdentifier &&
+         t[k - 1].text.ends_with("FaultPoint");
+}
+
+/// A CrowdMapPipeline by-value declaration, naked new, or
+/// make_unique/make_shared instantiation. References never match.
+bool constructs_pipeline(const std::vector<Token>& t, std::size_t i) {
+  const std::string& s = t[i].text;
+  if (s == "CrowdMapPipeline") {
+    return i + 1 < t.size() && t[i + 1].kind == TokKind::kIdentifier &&
+           (punct_at(t, i + 2, "(") || punct_at(t, i + 2, "{") ||
+            punct_at(t, i + 2, ";"));
+  }
+  const bool made = (s.ends_with("make_unique") || s.ends_with("make_shared")) &&
+                    punct_at(t, i + 1, "<");
+  if (s != "new" && !made) return false;
+  // new [ns::]...CrowdMapPipeline, or make_*<...CrowdMapPipeline...>.
+  for (std::size_t k = i + 1; k < t.size() && !punct_at(t, k, ">"); ++k) {
+    if (t[k].kind == TokKind::kIdentifier &&
+        (made ? t[k].text.find("CrowdMapPipeline") != std::string::npos
+              : t[k].text.ends_with("CrowdMapPipeline"))) {
+      return true;
+    }
+    if (!made && t[k].kind != TokKind::kIdentifier && !punct_at(t, k, "::")) {
+      return false;
+    }
+  }
+  return false;
+}
+
+/// fopen/freopen/unlink calls, std::[io]fstream, std::rename, and the
+/// std::filesystem remove/rename/create_directory family. The std::remove
+/// *algorithm* never matches.
+bool raw_file_io(const std::vector<Token>& t, std::size_t i) {
+  const std::string& s = t[i].text;
+  const bool called = punct_at(t, i + 1, "(");
+  if (s == "fopen" || s == "freopen" || s == "unlink") return called;
+  if (s == "fstream" || s == "ofstream" || s == "ifstream") {
+    return qualified(t, i, "std");
+  }
+  if (s == "rename" && called && qualified(t, i, "std")) return true;
+  return called && qualified(t, i, "filesystem") && qualified(t, i - 2, "std") &&
+         (s.starts_with("remove") || s.starts_with("rename") ||
+          s.starts_with("create_director"));
+}
+
+/// Vendor SIMD: _mm*_ intrinsics, NEON vld/vst loads and stores, and the raw
+/// vector types.
+bool raw_intrinsic(const std::string& s) {
+  for (const std::string_view prefix : {"_mm_", "_mm256_", "_mm512_"}) {
+    if (s.size() > prefix.size() && s.starts_with(prefix)) return true;
+  }
+  if ((s.starts_with("vld") || s.starts_with("vst")) && s.size() > 4 &&
+      s[3] >= '1' && s[3] <= '4') {
+    const std::size_t k = s[4] == 'q' ? 5 : 4;
+    return s.size() > k + 1 && s[k] == '_';
+  }
+  static const std::set<std::string> types = {
+      "__m128", "__m128i", "__m128d",     "__m256",     "__m256i",
+      "__m256d", "__m512", "float32x4_t", "float64x2_t"};
+  return types.count(s) > 0;
+}
+
+bool intrinsics_header(const std::string& target) {
+  static const std::set<std::string> headers = {
+      "immintrin.h", "emmintrin.h", "xmmintrin.h", "pmmintrin.h",
+      "smmintrin.h", "tmmintrin.h", "nmmintrin.h", "wmmintrin.h",
+      "avxintrin.h", "arm_neon.h",  "arm_sve.h"};
+  return headers.count(target) > 0;
+}
+
+const char kRawIntrinsicsMessage[] =
+    "raw SIMD intrinsics outside src/common/simd.hpp; use the portable "
+    "wrapper (common/simd.hpp) so the bit-exactness contract holds on every "
+    "backend";
+
+/// metric-help-required at `.counter(` / `->gauge(` / `.histogram(`: a
+/// registration (a literal metric name first) must end with non-empty help
+/// text; histogram takes its buckets before the help.
+void metric_help(const std::string& path, const std::vector<Token>& t,
+                 std::size_t i, std::vector<Finding>& out) {
+  // Per top-level argument: its first token, and whether it is "" only.
+  std::vector<std::pair<std::size_t, bool>> args{{i + 2, true}};
+  static const std::string kNotPunct;
+  int depth = 0;
+  std::size_t k = i + 1;
+  for (; k < t.size(); ++k) {
+    const std::string& p = t[k].kind == TokKind::kPunct ? t[k].text : kNotPunct;
+    if (p == "(" || p == "{" || p == "[") ++depth;
+    if ((p == ")" || p == "}" || p == "]") && --depth == 0) break;
+    if (p == "," && depth == 1) {
+      args.emplace_back(k + 1, true);
+    } else if (k > i + 1 && !(t[k].kind == TokKind::kString && t[k].text.empty())) {
+      args.back().second = false;
+    }
+  }
+  if (k == t.size()) return;  // unterminated call
+  const Token& first = t[args.front().first];
+  // Other .counter()-shaped calls pass no literal name; leave them alone.
+  if (first.kind != TokKind::kString || args.front().second) return;
+  const std::string& method = t[i].text;
+  const std::string& name = first.text;
+  std::string problem = "() with empty help text";
+  if (args.size() < (method == "histogram" ? 4u : 3u)) {
+    problem = "() without help text; add the trailing help argument";
+  } else if (t[args.back().first].kind != TokKind::kString ||
+             !args.back().second) {
+    return;
+  }
+  out.push_back({"metric-help-required", path, t[i].line, name,
+                 "metric \"" + name + "\" registered via " + method + problem});
+}
+
+/// The per-site rules at t[i] of the file at repo-relative `path`; each
+/// reports the offending token as its symbol. Path exemptions match
+/// prefixes of `path`.
+void site_rules(const std::string& path, const std::vector<Token>& t,
+                std::size_t i, std::vector<Finding>& out) {
+  if (t[i].kind != TokKind::kIdentifier) return;
+  const std::string& s = t[i].text;
+  const bool called = punct_at(t, i + 1, "(");
+  const auto hit = [&](const char* rule, const std::string& token,
+                       std::string message) {
+    out.push_back({rule, path, t[i].line, token, std::move(message)});
+  };
+  if ((raw_rng_ident(s) || (raw_rng_call(s) && called)) &&
+      !path.starts_with("src/common/rng.")) {
+    hit("raw-rng", s,
+        "raw random generator; use the seeded common::Rng "
+        "(src/common/rng.hpp) so runs stay reproducible");
+  }
+  if (wall_clock_ident(s) || (wall_clock_call(s) && called)) {
+    hit("wall-clock", s,
+        "wall-clock time is nondeterministic input; seed explicitly, or use "
+        "steady_clock strictly for latency measurement");
+  }
+  if (unordered_ident(s)) {
+    hit("unordered-container", s,
+        "unordered container: hash iteration order is nondeterministic; use "
+        "std::map/std::set or sort before iterating");
+  }
+  if (s == "new") {
+    hit("naked-new", s,
+        "naked 'new'; use std::make_unique/std::make_shared or a container");
+  }
+  // "= delete" declares a deleted member, not a deallocation.
+  if (s == "delete" && !(i > 0 && punct_at(t, i - 1, "="))) {
+    hit("naked-new", s, "naked 'delete'; let RAII owners release the allocation");
+  }
+  if (float_accumulator(t, i)) {
+    hit("float-accumulator", t[i + 1].text,
+        "'" + t[i + 1].text +
+            "' accumulates in float; sum in double and cast once at the "
+            "boundary");
+  }
+  if (synthesizes_fault_point(t, i) && !path.starts_with("src/common/fault.")) {
+    hit("fault-point-name", s == "static_cast" ? "FaultPoint" : s,
+        "FaultPoint synthesized outside the catalog; use the named "
+        "common::faults::k* constants or all_fault_points()");
+  }
+  // The library composes the pipeline internally; everyone else goes
+  // through the api::Client facade.
+  if (constructs_pipeline(t, i) && !path.starts_with("src/")) {
+    hit("pipeline-construction", "CrowdMapPipeline",
+        "direct CrowdMapPipeline construction outside src/; use api::Client "
+        "(api/v2.hpp) instead");
+  }
+  if (raw_intrinsic(s) && !path.starts_with("src/common/simd.")) {
+    hit("raw-intrinsics", s, kRawIntrinsicsMessage);
+  }
+  // Durable state goes through storage::Env; the Env implementations and
+  // the image/asset codecs are the only layers that touch files directly.
+  if (raw_file_io(t, i) && path.starts_with("src/") &&
+      !path.starts_with("src/storage/") && !path.starts_with("src/io/")) {
+    hit("raw-file-io", s,
+        "raw file I/O outside src/storage/ and src/io/; go through "
+        "storage::Env (fault-injectable, crash-tested) or the io layer");
+  }
+  if ((s == "counter" || s == "gauge" || s == "histogram") && called &&
+      i > 0 && (punct_at(t, i - 1, ".") || punct_at(t, i - 1, "->"))) {
+    metric_help(path, t, i, out);
+  }
 }
 
 class ModelBuilder {
@@ -71,9 +322,14 @@ class ModelBuilder {
 
   // ---------------------------------------------------------- directives ---
 
+  /// Includes, plus the two rules that read whole directives: a vendor
+  /// intrinsics include, and a header without `#pragma once`.
   void collect_directives() {
+    const std::string& path = model_.path;
+    bool guarded = false;
     for (const Token& t : tokens_) {
       if (t.kind != TokKind::kDirective) continue;
+      guarded = guarded || t.text.starts_with("pragma once");
       // body looks like: include "path"  |  include <path>
       std::size_t p = t.text.find_first_not_of(" \t");
       if (p == std::string::npos || t.text.compare(p, 7, "include") != 0) {
@@ -86,8 +342,17 @@ class ModelBuilder {
       if (open != '<' && open != '"') continue;
       const std::size_t end = t.text.find(close, p + 1);
       if (end == std::string::npos) continue;
-      model_.includes.push_back(
-          {t.text.substr(p + 1, end - p - 1), t.line, open == '<'});
+      const std::string target = t.text.substr(p + 1, end - p - 1);
+      model_.includes.push_back({target, t.line, open == '<'});
+      if (open == '<' && intrinsics_header(target) &&
+          !path.starts_with("src/common/simd.")) {
+        model_.sites.push_back(
+            {"raw-intrinsics", path, t.line, target, kRawIntrinsicsMessage});
+      }
+    }
+    if ((path.ends_with(".hpp") || path.ends_with(".h")) && !guarded) {
+      model_.sites.push_back(
+          {"pragma-once", path, 1, path, "header is missing '#pragma once'"});
     }
   }
 
@@ -125,9 +390,21 @@ class ModelBuilder {
 
   void walk() {
     std::vector<Token> head;  // declaration head since last ; { }
+    std::size_t consumed = 0;  // body_token() already consumed tokens below
     for (std::size_t i = 0; i < tokens_.size(); ++i) {
       const Token& t = tokens_[i];
-      if (t.kind == TokKind::kDirective) continue;
+      if (t.kind == TokKind::kDirective) {
+        // Macro bodies and #if conditions are code too; includes and
+        // pragmas are read whole by collect_directives().
+        const std::vector<Token> body = tokenize(t.text);
+        if (!body.empty() && body[0].text != "include" &&
+            body[0].text != "pragma") {
+          for (std::size_t k = 1; k < body.size(); ++k) check_site(body, k, t.line);
+        }
+        continue;
+      }
+      check_site(tokens_, i, t.line);
+      if (i < consumed) continue;
 
       if (t.kind == TokKind::kPunct && t.text == "{") {
         open_scope(head, t.line);
@@ -146,7 +423,7 @@ class ModelBuilder {
       }
 
       if (in_function()) {
-        i = body_token(i);
+        consumed = body_token(i) + 1;
       } else {
         head.push_back(t);
       }
@@ -248,6 +525,31 @@ class ModelBuilder {
       if (FunctionInfo* fn = current_function()) {
         fn->closes.push_back({line, function_depth()});
       }
+    }
+  }
+
+  // ---------------------------------------------------- per-site rules ---
+
+  /// Runs the per-site rules at toks[i]; each finding sits at `line` and
+  /// its symbol becomes `<enclosing function, class or namespace>!<token>`.
+  /// Inside a function body a wall-clock or raw-rng site is also that
+  /// function's determinism-taint source.
+  void check_site(const std::vector<Token>& toks, std::size_t i, int line) {
+    const std::size_t before = model_.sites.size();
+    site_rules(model_.path, toks, i, model_.sites);
+    if (model_.sites.size() == before) return;
+    FunctionInfo* fn = current_function();
+    const std::string scope = fn ? fn->qualified : scope_prefix();
+    for (std::size_t k = before; k < model_.sites.size(); ++k) {
+      Finding& f = model_.sites[k];
+      const bool clock = f.rule == "wall-clock";
+      if (fn && (clock || f.rule == "raw-rng")) {
+        fn->sources.push_back({clock ? SourceHit::Kind::kWallClock
+                                     : SourceHit::Kind::kRawRng,
+                               f.symbol, line});
+      }
+      f.line = line;
+      if (!scope.empty()) f.symbol = scope + "!" + f.symbol;
     }
   }
 
@@ -600,8 +902,8 @@ class ModelBuilder {
   /// Handles tokens_[i] inside a function body; returns the index of the
   /// last token consumed. One chain walk serves every consumer: MutexLock
   /// acquisitions, call sites (with full receiver chain for typed
-  /// resolution), taint sources (including qualified forms like
-  /// std::chrono::system_clock::now), and local-variable declarations.
+  /// resolution), unordered-iteration taint sources, and local-variable
+  /// declarations. Clock and RNG sources come from the per-site rules.
   std::size_t body_token(std::size_t i) {
     FunctionInfo* fn = current_function();
     if (!fn) return i;
@@ -669,16 +971,6 @@ class ModelBuilder {
     }
     const std::string callee = comps.back();
 
-    // Taint sources anywhere in the chain (std::chrono::system_clock::now,
-    // std::mt19937 — including the declaration of the engine itself).
-    for (const std::string& c : comps) {
-      if (wall_clock_ident(c)) {
-        fn->sources.push_back({SourceHit::Kind::kWallClock, c, t.line});
-      } else if (raw_rng_ident(c)) {
-        fn->sources.push_back({SourceHit::Kind::kRawRng, c, t.line});
-      }
-    }
-
     // [common::]MutexLock <var> ( <expr> ) — scoped acquisition.
     if (callee == "MutexLock" && j + 1 < tokens_.size() &&
         tokens_[j].kind == TokKind::kIdentifier &&
@@ -710,17 +1002,6 @@ class ModelBuilder {
 
     // Call site.
     if (next_is(j, "(") && !declared_name && !keywords().count(callee)) {
-      // C-style wall-clock/RNG calls: bare or std:: only — `foo.time()` and
-      // `other::rand()` are different functions.
-      if ((callee == "time" || callee == "clock" || callee == "rand" ||
-           callee == "srand") &&
-          (comps.size() == 1 ||
-           (comps.size() == 2 && comps[0] == "std" && !dotted))) {
-        const auto kind = (callee == "time" || callee == "clock")
-                              ? SourceHit::Kind::kWallClock
-                              : SourceHit::Kind::kRawRng;
-        fn->sources.push_back({kind, callee, t.line});
-      }
       fn->calls.push_back({callee, qualifier, t.line, depth});
       return j - 1;  // rescan from inside the argument list
     }
@@ -830,10 +1111,58 @@ class ModelBuilder {
   std::set<std::string> unordered_names_;
 };
 
+bool analyzable(const fs::path& path) {
+  const fs::path ext = path.extension();
+  return ext == ".cpp" || ext == ".hpp" || ext == ".cc" || ext == ".h";
+}
+
 }  // namespace
 
 FileModel build_model(std::string_view path, std::string_view content) {
   return ModelBuilder(path, content).build();
+}
+
+std::string repo_relative(const fs::path& path, const fs::path& root) {
+  fs::path p = path.lexically_normal();
+  if (p.is_absolute()) {
+    const fs::path rel = p.lexically_relative(root.lexically_normal());
+    if (!rel.empty() && *rel.begin() != "..") p = rel;
+  }
+  return p.generic_string();
+}
+
+std::vector<FileModel> load_tree(const std::vector<std::string>& roots,
+                                 const fs::path& root,
+                                 std::vector<std::string>& errors) {
+  // Keyed by repo-relative path: the model order, and so the report, is
+  // the same however the roots were spelled.
+  std::map<std::string, fs::path> files;
+  for (const std::string& r : roots) {
+    const fs::path p = root / r;  // an absolute r replaces root
+    if (fs::is_regular_file(p)) {
+      files.emplace(repo_relative(p, root), p);
+    } else if (fs::is_directory(p)) {
+      for (const auto& entry : fs::recursive_directory_iterator(p)) {
+        if (entry.is_regular_file() && analyzable(entry.path())) {
+          files.emplace(repo_relative(entry.path(), root), entry.path());
+        }
+      }
+    } else {
+      errors.push_back("no such file or directory: " + r);
+    }
+  }
+  std::vector<FileModel> models;
+  for (const auto& [path, file] : files) {
+    std::ifstream in(file, std::ios::binary);
+    if (!in) {
+      errors.push_back("cannot read " + file.string());
+      continue;
+    }
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    models.push_back(build_model(path, buffer.str()));
+  }
+  return models;
 }
 
 }  // namespace crowdmap::analyze

@@ -4,7 +4,9 @@
 // annotations (CM_REQUIRES / CM_EXCLUDES / CM_ACQUIRE), MutexLock
 // construction sites, call sites, mutex member declarations, and
 // determinism-taint source sites (wall clock, raw RNG, unordered-container
-// iteration).
+// iteration). The same pass runs the per-site rules (raw-rng, naked-new,
+// pragma-once, ...) on every token of the file — function bodies, class
+// bodies, namespace scope and macro bodies alike.
 //
 // This is a heuristic structural recovery, not a compiler: it tracks braces
 // and declaration heads well enough for the project's house style. Where it
@@ -13,6 +15,7 @@
 // guesses conservatively and the passes document the approximation.
 #pragma once
 
+#include <filesystem>
 #include <map>
 #include <string>
 #include <string_view>
@@ -93,16 +96,47 @@ struct FieldDecl {
   int line = 0;
 };
 
+/// One analyzer finding. `symbol` is the stable identity used for baseline
+/// keys (module edge, mutex cycle, function name; for a per-site rule the
+/// enclosing function, class or namespace, '!', and the offending token) —
+/// line numbers are *not* part of the key so the baseline survives
+/// unrelated edits.
+struct Finding {
+  std::string rule;
+  std::string path;
+  int line = 0;
+  std::string symbol;
+  std::string message;
+};
+
 struct FileModel {
   std::string path;
   std::vector<IncludeDecl> includes;
   std::vector<FunctionInfo> functions;
   std::vector<MutexDecl> mutexes;
   std::vector<FieldDecl> fields;
+  std::vector<Finding> sites;  // per-site rule findings
 };
 
-/// Builds the model for one file. `path` is repo-relative.
+/// Builds the model for one file. `path` is repo-relative (see
+/// repo_relative): the path-scoped rules and exemptions match its prefix.
 [[nodiscard]] FileModel build_model(std::string_view path,
                                     std::string_view content);
+
+/// The repo-relative form of a scanned path, the only form any rule reads:
+/// lexically normalized ("./src/a.hpp" and "src/x/../a.hpp" become
+/// "src/a.hpp"), and made relative to `root` when it is an absolute path
+/// under it. A path outside `root` stays absolute, so no path-scoped rule
+/// mistakes it for project code.
+[[nodiscard]] std::string repo_relative(const std::filesystem::path& path,
+                                        const std::filesystem::path& root);
+
+/// Models every .cpp/.hpp/.cc/.h file under `roots` (files or directories;
+/// relative roots resolve against the repo root `root`), sorted by
+/// repo-relative path. Each root that does not exist and each file that
+/// cannot be read adds a message to `errors`.
+[[nodiscard]] std::vector<FileModel> load_tree(
+    const std::vector<std::string>& roots, const std::filesystem::path& root,
+    std::vector<std::string>& errors);
 
 }  // namespace crowdmap::analyze

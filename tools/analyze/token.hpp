@@ -1,6 +1,6 @@
-// C++ tokenizer for crowdmap_analyze — the whole-program analyzer's front
-// end. Unlike the per-line regex scan in tools/lint/, this produces a real
-// token stream: comments are dropped, string/char literals (including
+// C++ tokenizer for crowdmap_analyze — the static analyzer's front end. It
+// produces a real token stream, so no rule ever matches inside a comment or
+// a literal: comments are dropped, string/char literals (including
 // R"delim(...)delim" raw strings) become single literal tokens, backslash
 // line splices are resolved (including splices inside // comments), and
 // preprocessor directives are captured whole. Every token carries the

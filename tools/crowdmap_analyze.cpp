@@ -1,8 +1,9 @@
 // crowdmap_analyze binary: builds a whole-program model of the given
 // files/directories (default: the src/, tools/ and bench/ trees of the
-// working directory) and runs the layering, lock-order, and determinism
-// passes from tools/analyze/. Prints compiler-style diagnostics, optionally
-// writes SARIF 2.1.0, and supports a committed suppression baseline:
+// working directory, which must be the repo root) and runs the per-site
+// rules plus the layering, lock-order, and determinism passes from
+// tools/analyze/. Prints compiler-style diagnostics, optionally writes
+// SARIF 2.1.0, and supports a committed suppression baseline:
 //
 //   crowdmap_analyze                      # report every finding, exit 1 if any
 //   crowdmap_analyze --check-baseline     # fail only on NEW findings
@@ -11,7 +12,6 @@
 //
 // See tools/analyze/analyze.hpp for the passes and docs/STATIC_ANALYSIS.md
 // for the workflow.
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -28,35 +28,6 @@ namespace {
 
 constexpr const char* kDefaultBaseline = "tools/analyze/baseline.txt";
 
-bool analyzable(const fs::path& path) {
-  const std::string ext = path.extension().string();
-  return ext == ".cpp" || ext == ".hpp" || ext == ".cc" || ext == ".h";
-}
-
-std::vector<fs::path> collect(const std::vector<std::string>& roots,
-                              bool& ok) {
-  std::vector<fs::path> files;
-  for (const auto& root : roots) {
-    const fs::path p(root);
-    if (fs::is_regular_file(p)) {
-      files.push_back(p);
-    } else if (fs::is_directory(p)) {
-      for (const auto& entry : fs::recursive_directory_iterator(p)) {
-        if (entry.is_regular_file() && analyzable(entry.path())) {
-          files.push_back(entry.path());
-        }
-      }
-    } else {
-      std::fprintf(stderr,
-                   "crowdmap_analyze: no such file or directory: %s\n",
-                   root.c_str());
-      ok = false;
-    }
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
 bool read_file(const fs::path& path, std::string& out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
@@ -69,7 +40,7 @@ bool read_file(const fs::path& path, std::string& out) {
 void print_rules() {
   std::printf("crowdmap_analyze rules (baseline key: rule|path|symbol):\n");
   for (const auto& rule : an::rule_catalog()) {
-    std::printf("  %-20s %s\n", std::string(rule.name).c_str(),
+    std::printf("  %-22s %s\n", std::string(rule.name).c_str(),
                 std::string(rule.summary).c_str());
   }
   std::printf("\nlayering (rank 0 = top; includes must not point to a "
@@ -131,17 +102,11 @@ int main(int argc, char** argv) {
   }
   if (roots.empty()) roots = {"src", "tools", "bench"};
 
-  bool roots_ok = true;
-  std::vector<an::FileModel> models;
-  for (const auto& path : collect(roots, roots_ok)) {
-    std::string content;
-    if (!read_file(path, content)) {
-      std::fprintf(stderr, "crowdmap_analyze: cannot read %s\n",
-                   path.string().c_str());
-      roots_ok = false;
-      continue;
-    }
-    models.push_back(an::build_model(path.generic_string(), content));
+  std::vector<std::string> errors;
+  const std::vector<an::FileModel> models =
+      an::load_tree(roots, fs::current_path(), errors);
+  for (const std::string& error : errors) {
+    std::fprintf(stderr, "crowdmap_analyze: %s\n", error.c_str());
   }
 
   const std::vector<an::Finding> findings = an::analyze(models);
@@ -187,6 +152,6 @@ int main(int argc, char** argv) {
   std::printf("crowdmap_analyze: %zu %sfinding%s in %zu files\n",
               reported.size(), check_baseline ? "new " : "",
               reported.size() == 1 ? "" : "s", models.size());
-  if (!roots_ok) return 2;  // a misspelled path must not pass the CI gate
+  if (!errors.empty()) return 2;  // a misspelled path must not pass the gate
   return reported.empty() ? 0 : 1;
 }

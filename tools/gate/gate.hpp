@@ -13,7 +13,7 @@
 // from a covered bench fails the gate, and everything else — absolute
 // wall-clock numbers vary per host — is presence-checked only.
 //
-// Like tools/lint, this half is dependency-free so tests can drive the gate
+// Like tools/analyze, this half is dependency-free so tests can drive the gate
 // on in-memory lines; the binary half (tools/bench_gate.cpp) does the file
 // I/O and exits non-zero for CI.
 #pragma once

@@ -41,7 +41,7 @@ crowdmap::cluster::ClusterOptions cluster_options(std::size_t nodes,
   options.config = crowdmap::core::PipelineConfig::fast_profile();
   options.config.cluster.nodes = nodes;
   options.config.cluster.replication_factor = replication;
-  options.workers_per_node = 1;
+  options.config.parallel.threads = 1;
   return options;
 }
 

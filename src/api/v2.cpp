@@ -63,7 +63,6 @@ cluster::ClusterOptions Client::make_cluster_options(ClientOptions&& options,
   out.decoder = [self](const cloud::Document& doc) {
     return self->decode(doc);
   };
-  out.workers_per_node = options.workers_per_node;
   out.chunk_bytes = options.chunk_bytes;
   out.storage_env = options.storage_env;
   return out;

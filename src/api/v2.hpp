@@ -35,11 +35,10 @@ namespace crowdmap::api {
 inline namespace v2 {
 
 /// Client construction options. Defaults give a self-contained single-node
-/// in-process backend; config.cluster.* sizes the topology.
+/// in-process backend; config.cluster.* sizes the topology and
+/// config.parallel.threads the one worker pool every node shares.
 struct ClientOptions {
   core::PipelineConfig config;
-  /// Extraction/refresh worker threads per node.
-  std::size_t workers_per_node = 2;
   /// Fallback decoder for payloads submit_video() did not register (a
   /// deployment's real codec). Shared cluster-wide so any replica can
   /// extract a replicated upload.

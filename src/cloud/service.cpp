@@ -25,14 +25,14 @@ std::string artifact_cache_doc_id(const std::string& building, int floor) {
 }  // namespace
 
 CrowdMapService::CrowdMapService(core::PipelineConfig config,
-                                 VideoDecoder decoder, std::size_t workers,
+                                 VideoDecoder decoder, common::ThreadPool& pool,
                                  std::shared_ptr<obs::MetricsRegistry> registry,
                                  storage::Env* storage_env)
     : config_(std::move(config)),
       decoder_(std::move(decoder)),
       registry_(registry ? std::move(registry)
                          : std::make_shared<obs::MetricsRegistry>()),
-      pool_(workers) {
+      tasks_(pool) {
   uploads_completed_ = &registry_->counter(
       "crowdmap_uploads_completed_total", {}, "Chunked uploads reassembled");
   uploads_rejected_ = &registry_->counter(
@@ -79,14 +79,14 @@ CrowdMapService::CrowdMapService(core::PipelineConfig config,
     durable_ = std::make_unique<DurableDocumentStore>(store_, env, opts,
                                                       registry_, flight_.get());
   }
-  pool_.set_queue_observer(
+  tasks_.set_queue_observer(
       [gauge = queue_depth_, flight = flight_.get()](std::size_t depth) {
         gauge->set(static_cast<double>(depth));
         if (flight != nullptr) {
           flight->record(obs::FlightEventKind::kQueueDepth, 0, depth);
         }
       });
-  pool_.set_task_observer(
+  tasks_.set_task_observer(
       [&task_seconds](double seconds) { task_seconds.observe(seconds); });
   ingest_ = std::make_unique<IngestService>(
       store_, [this](const Document& doc) { on_upload_complete(doc); },
@@ -153,11 +153,9 @@ core::IncrementalPlanner& CrowdMapService::planner_for(const FloorKey& key) {
   auto& slot = planners_[key];
   if (!slot) {
     slot = std::make_unique<core::IncrementalPlanner>(config_, registry_);
-    // The extraction pool doubles as the refresh pipeline's worker pool —
+    // The shared pool doubles as the refresh pipeline's worker pool —
     // unless the config demands serial execution (threads == 1).
-    if (config_.parallel.threads != 1 && pool_.worker_count() > 0) {
-      slot->set_thread_pool(&pool_);
-    }
+    if (config_.parallel.threads != 1) slot->set_thread_pool(&tasks_.pool());
     // All floors share the service recorder: one black box for the backend.
     if (flight_ != nullptr) slot->set_flight_recorder(flight_.get());
   }
@@ -171,7 +169,7 @@ void CrowdMapService::schedule_refresh(const FloorKey& key) {
     if (pending) return;  // one queued refresh absorbs any number of ingests
     pending = true;
   }
-  (void)pool_.submit([this, key] {
+  tasks_.submit([this, key] {
     {
       // Cleared before running so an admission landing mid-refresh schedules
       // exactly one follow-up that will see it.
@@ -194,7 +192,7 @@ void CrowdMapService::on_upload_complete(const Document& doc) {
 
 void CrowdMapService::dispatch_extraction(const Document& doc) {
   // Decode + extract on the worker pool; the calling thread returns at once.
-  (void)pool_.submit([this, doc] {
+  tasks_.submit([this, doc] {
     // Chaos: decode failure, keyed by the upload's stable identity so the
     // same plan loses the same uploads at any worker count. The document is
     // quarantined, not dropped — operators can replay it post-incident.
@@ -247,7 +245,7 @@ void CrowdMapService::dispatch_extraction(const Document& doc) {
   });
 }
 
-void CrowdMapService::drain() { pool_.wait_idle(); }
+void CrowdMapService::drain() { tasks_.wait(); }
 
 core::PipelineResult CrowdMapService::build_floor_plan(
     const std::string& building, int floor,

@@ -1,8 +1,9 @@
 // CrowdMapService — the assembled cloud backend (paper §IV.2): chunked
-// uploads land in the document store through the ingestion service; a worker
-// pool extracts trajectories asynchronously (the Spark-cluster stand-in);
-// floor plans are built per (building, floor) by incremental planners that
-// reuse content-addressed artifacts across refreshes (docs/INCREMENTAL.md).
+// uploads land in the document store through the ingestion service; a task
+// group on a borrowed worker pool extracts trajectories asynchronously (the
+// Spark-cluster stand-in); floor plans are built per (building, floor) by
+// incremental planners that reuse content-addressed artifacts across
+// refreshes (docs/INCREMENTAL.md).
 #pragma once
 
 #include <functional>
@@ -62,6 +63,9 @@ struct ServiceStats {
 /// incremental reconstruction. Thread-safe.
 class CrowdMapService {
  public:
+  /// `pool` (borrowed, must outlive the service) runs the service's
+  /// extraction and refresh tasks through the service's own task group, and
+  /// its floors' planners fan out on it; several services may share one.
   /// `registry` defaults to a fresh service-local registry; pass a shared
   /// one to co-locate several services behind one exporter endpoint.
   /// `storage_env` (borrowed, must outlive the service) overrides the
@@ -69,7 +73,7 @@ class CrowdMapService {
   /// nullptr uses the real posix env. Ignored when config.storage.dir is
   /// empty (persistence disabled, the historical in-memory behavior).
   CrowdMapService(core::PipelineConfig config, VideoDecoder decoder,
-                  std::size_t workers = 2,
+                  common::ThreadPool& pool,
                   std::shared_ptr<obs::MetricsRegistry> registry = nullptr,
                   storage::Env* storage_env = nullptr);
 
@@ -96,8 +100,9 @@ class CrowdMapService {
   /// dedupes by video id).
   void ingest_document(const Document& doc);
 
-  /// Blocks until every queued extraction (and background refresh) has
-  /// finished.
+  /// Blocks until every queued extraction (and background refresh) of this
+  /// service has finished; other services' work on the shared pool is not
+  /// waited for.
   void drain();
 
   /// Builds the floor plan for one (building, floor) from every trajectory
@@ -159,7 +164,7 @@ class CrowdMapService {
   [[nodiscard]] const DocumentStore& store() const noexcept { return store_; }
 
   /// Service-level metrics: per-upload ingest/decode/extract counters, the
-  /// worker-pool queue-depth gauge, extraction and task latency histograms,
+  /// task group's queue-depth gauge, extraction and task latency histograms,
   /// and (shared with the planners) the pipeline's stage/cache metrics.
   [[nodiscard]] obs::MetricsRegistry& metrics() const noexcept {
     return *registry_;
@@ -170,7 +175,7 @@ class CrowdMapService {
   }
 
   /// The service-wide flight recorder: one set of rings behind ingest, the
-  /// worker pool and every floor's refresh pipelines. nullptr when
+  /// task group and every floor's refresh pipelines. nullptr when
   /// config.flight.enabled == false.
   [[nodiscard]] obs::FlightRecorder* flight_recorder() noexcept {
     return flight_.get();
@@ -186,11 +191,11 @@ class CrowdMapService {
  private:
   using FloorKey = std::pair<std::string, int>;
 
-  /// Runs on the ingest thread; hands decode + extraction to the pool. The
+  /// Runs on the ingest thread; hands decode + extraction to the group. The
   /// extraction task admits the trajectory into the floor's planner.
   void on_upload_complete(const Document& doc) CM_EXCLUDES(mutex_);
 
-  /// The pool half of on_upload_complete, shared with recovery replay
+  /// The task half of on_upload_complete, shared with recovery replay
   /// (which re-dispatches stored uploads without re-counting completions).
   void dispatch_extraction(const Document& doc) CM_EXCLUDES(mutex_);
 
@@ -218,14 +223,14 @@ class CrowdMapService {
   obs::Counter* cache_warmstart_rejected_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;
   obs::Histogram* extract_seconds_ = nullptr;
-  /// Declared before pool_ (and destroyed after it): the pool's queue
-  /// observer records into these rings from worker threads until the pool
-  /// joins in ~CrowdMapService.
+  /// Declared before tasks_ (and destroyed after it): the group's queue
+  /// observer records into these rings from worker threads until the group's
+  /// last running task returns in ~CrowdMapService.
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<obs::SloWatchdog> watchdog_;
-  /// Declared after store_/flight_ (borrows both) and before pool_: worker
-  /// threads journal through it until the pool joins, and its destructor
-  /// detaches from the still-live store.
+  /// Declared after store_/flight_ (borrows both) and before tasks_: worker
+  /// threads journal through it until the group's tasks finish, and its
+  /// destructor detaches from the still-live store.
   std::unique_ptr<DurableDocumentStore> durable_;
   /// Service-side chaos plan (decode.fail, extract.sensor_dropout); armed
   /// from config.faults, disarmed (zero-cost) by default.
@@ -234,13 +239,14 @@ class CrowdMapService {
   mutable common::Mutex mutex_;
   // One incremental planner per (building, floor) — each owns that floor's
   // corpus, artifact cache and S2 memo. The mutex and both maps are declared
-  // before pool_ (and so destroyed after it joins): extraction/refresh tasks
-  // reach planner_for() until the last worker exits — a service torn down
-  // with work still queued (the cluster's node-crash fault) must join first.
+  // before tasks_ (and so destroyed after it): extraction/refresh tasks reach
+  // planner_for() until the last one returns — a service torn down with work
+  // still queued (the cluster's node-crash fault) drops its queued tasks and
+  // waits for its running ones before any planner goes.
   std::map<FloorKey, std::unique_ptr<core::IncrementalPlanner>> planners_
       CM_GUARDED_BY(mutex_);
   std::map<FloorKey, bool> refresh_pending_ CM_GUARDED_BY(mutex_);
-  common::ThreadPool pool_;
+  common::TaskGroup tasks_;
   std::unique_ptr<IngestService> ingest_;
 };
 

@@ -93,7 +93,8 @@ Cluster::Cluster(ClusterOptions options)
       chunk_bytes_(options_.chunk_bytes == 0 ? 4096 : options_.chunk_bytes),
       replication_factor_(
           std::max<std::size_t>(1, options_.config.cluster.replication_factor)),
-      registry_(std::make_shared<obs::MetricsRegistry>()) {
+      registry_(std::make_shared<obs::MetricsRegistry>()),
+      pool_(common::resolve_thread_count(options_.config.parallel.threads)) {
   if (options_.config.flight.enabled) {
     obs::FlightOptions opts;
     opts.ring_capacity = options_.config.flight.ring_capacity;
@@ -171,8 +172,8 @@ std::unique_ptr<cloud::CrowdMapService> Cluster::make_service(
     config.storage.dir += "/node-" + std::to_string(index);
   }
   auto service = std::make_unique<cloud::CrowdMapService>(
-      std::move(config), options_.decoder, options_.workers_per_node,
-      node.registry, options_.storage_env);
+      std::move(config), options_.decoder, pool_, node.registry,
+      options_.storage_env);
   node.queue_depth = &node.registry->gauge(
       "crowdmap_worker_queue_depth", {},
       "Extraction tasks waiting in the pool");

@@ -16,8 +16,9 @@
 //
 // Fault semantics (driven by the shared FaultInjector, points cluster.*):
 //  - node_crash: the node's process state (service, planners, stores) is
-//    wiped and rebuilt empty; its shards resync from the authoritative log
-//    on next access — PR 9's durability story lifted to replication.
+//    wiped and rebuilt empty (its queued tasks are dropped, its running ones
+//    finish first); its shards resync from the authoritative log on next
+//    access — the durability story lifted to replication.
 //  - partition: the node is unreachable for a window of submit epochs;
 //    routing fails over to the next reachable ring node and deliveries to
 //    it park in the network until the window expires.
@@ -25,6 +26,11 @@
 //    on a later flush (replicas apply in seqno order, gaps replay first).
 //  - replication_duplicate: a replica delivery is applied twice; the
 //    per-shard applied watermark makes the second apply a no-op.
+//
+// Execution: every node shares one common::ThreadPool sized by
+// common::resolve_thread_count(config.parallel.threads). Each node's service
+// queues its extraction and refresh tasks through its own TaskGroup on it,
+// and every planner fans out on it, so N nodes never run N pools.
 //
 // Concurrency: the router serializes its own state under one mutex but
 // delivers chunk payloads outside it, so concurrent submitters only contend
@@ -45,6 +51,7 @@
 #include "cluster/replication.hpp"
 #include "common/annotations.hpp"
 #include "common/fault.hpp"
+#include "common/thread_pool.hpp"
 #include "core/config.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -59,8 +66,6 @@ struct ClusterOptions {
   /// Cluster-wide payload decoder, shared by every node so any replica can
   /// extract a replicated upload (api::v2 passes its side-table decoder).
   cloud::VideoDecoder decoder;
-  /// Extraction/refresh worker threads per node.
-  std::size_t workers_per_node = 2;
   /// Wire chunk size of the client-facing ingestion path.
   std::size_t chunk_bytes = 4096;
   /// Filesystem for per-node durable stores (config.storage.dir non-empty
@@ -123,7 +128,7 @@ class Cluster {
                                 std::uint64_t deadline = 0)
       CM_EXCLUDES(mutex_);
 
-  /// Flushes deliverable parked replication and drains every node's pool.
+  /// Flushes deliverable parked replication and drains every node's tasks.
   void drain() CM_EXCLUDES(mutex_);
 
   /// Routes to the acting primary, resyncs it from the shard log, then
@@ -299,6 +304,9 @@ class Cluster {
   obs::Counter* rebalance_moves_total_ = nullptr;
   obs::Gauge* nodes_gauge_ = nullptr;
 
+  /// Shared by every node. Declared before nodes_ so each node's service,
+  /// and with it its task group, is gone before the pool joins.
+  common::ThreadPool pool_;
   mutable common::Mutex mutex_;
   std::vector<std::unique_ptr<Node>> nodes_ CM_GUARDED_BY(mutex_);
   HashRing ring_ CM_GUARDED_BY(mutex_);

@@ -1,5 +1,6 @@
 // Fixed-size worker pool used by the cloud backend's parallel-processing
-// pipeline (the paper's Spark cluster stand-in) and by the evaluation harness.
+// pipeline (the paper's Spark cluster stand-in) and by the evaluation harness,
+// plus the task group that lets several owners share one pool.
 #pragma once
 
 #include <atomic>
@@ -16,27 +17,19 @@
 
 namespace crowdmap::common {
 
+/// The thread count a `parallel.threads` setting asks for: 0 means
+/// std::thread::hardware_concurrency(), and the result is at least 1.
+[[nodiscard]] std::size_t resolve_thread_count(std::size_t threads) noexcept;
+
 /// Work-queue thread pool. Tasks are std::function<void()>; submit() returns
 /// a future for the task's result. Destruction drains the queue then joins.
 class ThreadPool {
  public:
-  /// Fires with a snapshot of the queue depth after every enqueue/dequeue.
-  /// Invoked OUTSIDE the pool lock so a slow observer cannot serialize the
-  /// workers; consecutive depths may therefore arrive out of order (feeding
-  /// an obs::Gauge, which only keeps the latest value, is the intended use).
-  using QueueObserver = std::function<void(std::size_t depth)>;
-  /// Fires with a task's wall-clock seconds after it finishes. Also invoked
-  /// outside the lock.
-  using TaskObserver = std::function<void(double seconds)>;
-
   explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  void set_queue_observer(QueueObserver observer) CM_EXCLUDES(mutex_);
-  void set_task_observer(TaskObserver observer) CM_EXCLUDES(mutex_);
 
   /// Enqueues a callable; returns a future for its result.
   template <typename F>
@@ -44,38 +37,78 @@ class ThreadPool {
     using R = std::invoke_result_t<F>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     auto future = task->get_future();
-    std::size_t depth = 0;
-    QueueObserver observer;
     {
       MutexLock lock(mutex_);
       if (stopping_) throw std::runtime_error("submit on stopped ThreadPool");
       queue_.emplace_back([task] { (*task)(); });
-      depth = queue_.size();
-      observer = queue_observer_;
     }
     cv_.notify_one();
-    if (observer) observer(depth);
     return future;
   }
 
-  /// Blocks until every queued and running task has finished.
-  void wait_idle() CM_EXCLUDES(mutex_);
-
   [[nodiscard]] std::size_t worker_count() const noexcept { return threads_.size(); }
-  [[nodiscard]] std::size_t pending() const CM_EXCLUDES(mutex_);
 
  private:
   void worker_loop() CM_EXCLUDES(mutex_);
 
-  mutable Mutex mutex_;
+  Mutex mutex_;
   ConditionVariable cv_;
-  ConditionVariable idle_cv_;
   std::deque<std::function<void()>> queue_ CM_GUARDED_BY(mutex_);
   std::vector<std::thread> threads_;  // written only before/after the workers run
-  QueueObserver queue_observer_ CM_GUARDED_BY(mutex_);
-  TaskObserver task_observer_ CM_GUARDED_BY(mutex_);
-  std::size_t active_ CM_GUARDED_BY(mutex_) = 0;
   bool stopping_ CM_GUARDED_BY(mutex_) = false;
+};
+
+/// One owner's share of a ThreadPool (a cluster node's extraction and
+/// refresh work). Tasks run on the pool's workers in submission order, but
+/// wait(), pending() and the observers see only this group's tasks, so
+/// owners sharing one pool never wait on, or get measured by, each other's
+/// work. Destruction drops the group's queued tasks and waits for its running
+/// ones; the pool, which must outlive the group, keeps running.
+class TaskGroup {
+ public:
+  /// Fires with the group's queue depth after every enqueue and dequeue.
+  /// Invoked OUTSIDE the group lock so a slow observer cannot serialize the
+  /// workers; consecutive depths may therefore arrive out of order (feeding
+  /// an obs::Gauge, which only keeps the latest value, is the intended use).
+  using QueueObserver = std::function<void(std::size_t depth)>;
+  /// Fires with a task's wall-clock seconds after it finishes. Also invoked
+  /// outside the lock, and before wait() can see the task as done.
+  using TaskObserver = std::function<void(double seconds)>;
+
+  explicit TaskGroup(ThreadPool& pool);
+  ~TaskGroup();
+
+  TaskGroup(const TaskGroup&) = delete;
+  TaskGroup& operator=(const TaskGroup&) = delete;
+
+  void set_queue_observer(QueueObserver observer);
+  void set_task_observer(TaskObserver observer);
+
+  /// Enqueues fn. An exception escaping fn is logged and dropped; it neither
+  /// stops the group nor the worker that ran it.
+  void submit(std::function<void()> fn);
+
+  /// Blocks until every queued and running task of this group has finished,
+  /// including tasks those tasks submit to the group. Must not be called
+  /// from one of the group's own tasks.
+  void wait();
+
+  /// Tasks queued in this group and not started yet.
+  [[nodiscard]] std::size_t pending() const;
+
+  /// The shared pool, for parallel_for fan-out by the group's owner.
+  [[nodiscard]] ThreadPool& pool() const noexcept { return pool_; }
+
+ private:
+  struct State;
+  /// Runs the group's oldest queued task, if destruction has not dropped it.
+  static void run_next(State& state);
+
+  ThreadPool& pool_;
+  /// Shared with the pool tasks that run the group's work: one may still sit
+  /// in the pool's queue after the group is gone, and then finds nothing to
+  /// run.
+  std::shared_ptr<State> state_;
 };
 
 /// Runs fn(i) for every i in [0, n), fanning chunks of `grain` indices out

@@ -20,9 +20,11 @@ namespace crowdmap::core {
 /// Spark cluster; we run them on a shared ThreadPool). Every parallel path
 /// is bit-deterministic: the same results at any thread count, including 1.
 struct ParallelConfig {
-  /// Threads driving run(): pool workers + the calling thread. 0 derives the
-  /// count from std::thread::hardware_concurrency(); 1 executes everything
-  /// serially on the calling thread (exact legacy behavior, no pool at all).
+  /// Sizes the one backend pool of an api::Client: every node's extraction
+  /// and every planner share common::resolve_thread_count(threads) workers
+  /// (0 = hardware_concurrency). At 1 that pool has one extraction worker
+  /// and planners run serially on the calling thread. A bare pipeline counts
+  /// the calling thread, so it starts threads - 1 workers, and none at 1.
   std::size_t threads = 0;
   /// Fan the O(N^2) pairwise trajectory matching of aggregation out over the
   /// pool (per-pair results merge deterministically in pair order).
@@ -71,7 +73,7 @@ struct SloConfig {
   double plan_refresh_p99_ms = 0.0;
   /// p99 of crowdmap_extract_seconds must stay under this many ms.
   double extract_p99_ms = 0.0;
-  /// crowdmap_queue_depth must stay at or under this many queued tasks.
+  /// crowdmap_worker_queue_depth must stay at or under this many queued tasks.
   int ingest_queue_depth_max = 0;
 };
 

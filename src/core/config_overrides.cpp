@@ -148,7 +148,8 @@ constexpr ConfigKeyInfo kConfigKeys[] = {
                 parallel.s2_cache_capacity,
                 "Bounded S2 match-score memo entries (0 disables)"),
     CM_KEY_SIZE("parallel.threads", nullptr, parallel.threads,
-                "Worker threads (0 = all cores, 1 = serial)"),
+                "One backend pool per client (0 = all cores, 1 = one "
+                "extraction worker and a serial planner)"),
     CM_KEY_BOOL("simd.force_scalar", nullptr, simd.force_scalar,
                 "Route SIMD kernels through the scalar reference path"),
     CM_KEY_SIZE("simd.match_tile", nullptr, simd.match_tile,

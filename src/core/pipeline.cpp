@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -158,10 +157,8 @@ obs::Counter& CrowdMapPipeline::fault_counter(common::FaultPoint point) {
 common::ThreadPool* CrowdMapPipeline::worker_pool() {
   if (external_pool_ != nullptr) return external_pool_;
   if (owned_pool_) return owned_pool_.get();
-  std::size_t threads = config_.parallel.threads;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-  }
+  const std::size_t threads =
+      common::resolve_thread_count(config_.parallel.threads);
   // threads counts the calling thread, so a pool only pays off above 1; the
   // serial path (no pool) is the exact legacy execution order.
   if (threads <= 1) return nullptr;

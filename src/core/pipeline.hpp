@@ -175,7 +175,7 @@ class CrowdMapPipeline {
   [[nodiscard]] PipelineResult run(
       const std::optional<WorldFrame>& frame = std::nullopt);
 
-  /// Shares an external worker pool (e.g. CrowdMapService's extraction pool)
+  /// Shares an external worker pool (e.g. the api::Client backend pool)
   /// instead of the pipeline lazily creating its own from
   /// config.parallel.threads. Not owned; must outlive the pipeline. Pass
   /// nullptr to return to the config-driven pool.

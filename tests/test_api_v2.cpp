@@ -100,6 +100,7 @@ TEST(ApiV2, SingleNodeMatchesBareServiceByteForByte) {
   for (const auto& video : videos) {
     side_table["video-" + std::to_string(video.video_id)] = video;
   }
+  cc::ThreadPool pool(2);
   cl::CrowdMapService bare(
       co::PipelineConfig::fast_profile(),
       [&side_table](const cl::Document& doc)
@@ -107,7 +108,8 @@ TEST(ApiV2, SingleNodeMatchesBareServiceByteForByte) {
         const auto it = side_table.find(doc.id);
         if (it == side_table.end()) return std::nullopt;
         return it->second;
-      });
+      },
+      pool);
   for (const auto& video : videos) {
     const std::string id = "video-" + std::to_string(video.video_id);
     bare.open_session(id, video.building, video.floor);

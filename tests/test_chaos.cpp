@@ -237,7 +237,8 @@ ChaosRun run_backend(const cc::FaultPlan& plan, std::size_t threads,
   }
 
   Fixture fixture;
-  cl::CrowdMapService service(config, fixture.decoder(), threads);
+  cc::ThreadPool pool(threads);
+  cl::CrowdMapService service(config, fixture.decoder(), pool);
   cc::FaultInjector wire(plan);  // the lossy network between client and cloud
 
   for (std::size_t v = 0; v < videos.size(); ++v) {

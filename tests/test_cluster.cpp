@@ -2,13 +2,18 @@
 // routing, the CMWL-framed shard replication log, and the determinism
 // contract the whole design exists for: serialized FloorPlans are
 // byte-identical across node counts and failure schedules (crash, partition,
-// duplicate delivery), at any per-node worker count (docs/CLUSTER.md).
+// duplicate delivery), at any parallel.threads (docs/CLUSTER.md).
+// Every node shares the cluster's one worker pool through its own task group,
+// so one node's backlog is its own (Cluster.RealBacklogShedsOnlyTheLoadedNode).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -71,14 +76,14 @@ cd::VideoDecoder table_decoder(std::shared_ptr<VideoTable> table) {
 }
 
 cl::ClusterOptions make_options(std::shared_ptr<VideoTable> table,
-                                std::size_t nodes, std::size_t workers,
+                                std::size_t nodes, std::size_t threads,
                                 const cc::FaultPlan& faults = {}) {
   cl::ClusterOptions options;
   options.config = co::PipelineConfig::fast_profile();
   options.config.cluster.nodes = nodes;
   options.config.faults = faults;
   options.decoder = table_decoder(std::move(table));
-  options.workers_per_node = workers;
+  options.config.parallel.threads = threads;
   return options;
 }
 
@@ -228,14 +233,14 @@ TEST(ClusterDeterminism, PlansAreByteIdenticalAcrossNodesFaultsAndWorkers) {
   };
   for (const std::size_t nodes : {std::size_t{1}, std::size_t{3}, std::size_t{5}}) {
     for (const auto& [name, spec] : schedules) {
-      for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         auto plan = cc::parse_fault_plan(chaos_seed() + ":" + spec);
         ASSERT_TRUE(plan.ok());
         cl::Cluster cluster(
-            make_options(make_table(videos), nodes, workers, plan.value()));
+            make_options(make_table(videos), nodes, threads, plan.value()));
         const std::string actual = run_campaign(videos, cluster);
         const std::string label = name + "-n" + std::to_string(nodes) + "-w" +
-                                  std::to_string(workers);
+                                  std::to_string(threads);
         if (actual != reference) dump_divergence(label, reference, actual);
         ASSERT_EQ(actual, reference)
             << label << ": plan bytes diverged from the single-node "
@@ -347,6 +352,75 @@ TEST(Cluster, OverloadedPrimaryShedsUploads) {
   EXPECT_EQ(shed.seqno, 0u) << "a shed upload must not reach the shard log";
   EXPECT_EQ(cluster.metrics().value("crowdmap_cluster_sheds_total"), 1.0);
   EXPECT_EQ(cluster.shard_log_head(video.building, video.floor), 0u);
+}
+
+TEST(Cluster, RealBacklogShedsOnlyTheLoadedNode) {
+  // Two nodes on a one-worker pool, and a decoder whose first call blocks:
+  // every later upload stays queued in its primary's task group. Each node's
+  // gauge counts only its own queue, so backpressure sheds on the loaded node
+  // while the other still accepts.
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::atomic<bool> first{true};
+  cl::ClusterOptions options;
+  options.config = co::PipelineConfig::fast_profile();
+  options.config.cluster.nodes = 2;
+  options.config.cluster.replication_factor = 1;
+  options.config.cluster.max_node_queue = 2;
+  options.config.parallel.threads = 1;
+  options.decoder = [&entered, &first, gate = release.get_future().share()](
+                        const cd::Document&)
+      -> std::optional<cs::SensorRichVideo> {
+    if (first.exchange(false)) {
+      entered.set_value();
+      gate.wait();
+    }
+    return std::nullopt;
+  };
+  cl::Cluster cluster(std::move(options));
+
+  std::string building_on[2];
+  for (int i = 0; building_on[0].empty() || building_on[1].empty(); ++i) {
+    const std::string building = "bldg-" + std::to_string(i);
+    std::string& slot = building_on[cluster.shard_of(building, 1).primary];
+    if (slot.empty()) slot = building;
+  }
+  const cd::Blob payload(64, 0x5A);
+  int uploads = 0;
+  const auto submit = [&](std::size_t node) {
+    return cluster
+        .submit_upload("upload-" + std::to_string(uploads++),
+                       building_on[node], 1, payload)
+        .outcome;
+  };
+  const auto depth = [&](std::size_t node) {
+    return cluster.metrics().value("crowdmap_worker_queue_depth",
+                                   {{"node", cluster.node_name(node)}});
+  };
+
+  ASSERT_EQ(submit(0), cl::SubmitOutcome::kAccepted);
+  entered.get_future().wait();  // node 0's first upload holds the one worker
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(submit(0), cl::SubmitOutcome::kAccepted);
+  }
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(submit(1), cl::SubmitOutcome::kAccepted);
+  }
+  EXPECT_EQ(depth(0), 3.0);
+  EXPECT_EQ(depth(1), 2.0);
+
+  // max_node_queue = 2 sits just below node 0's depth and at node 1's.
+  EXPECT_EQ(submit(0), cl::SubmitOutcome::kShedding);
+  EXPECT_EQ(submit(1), cl::SubmitOutcome::kAccepted);
+  EXPECT_EQ(depth(0), 3.0);
+  EXPECT_EQ(depth(1), 3.0);
+  EXPECT_EQ(cluster.metrics().value("crowdmap_cluster_sheds_total"), 1.0);
+
+  release.set_value();
+  cluster.drain();
+  EXPECT_EQ(depth(0), 0.0);
+  EXPECT_EQ(depth(1), 0.0);
+  EXPECT_EQ(cluster.stats().decode_failures, 7u);
 }
 
 TEST(Cluster, ExpiredDeadlinesAreRejectedAtAdmission) {

@@ -1,6 +1,7 @@
 // Unit tests for crowdmap::common — RNG, stats, expected, thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <set>
@@ -239,20 +240,6 @@ TEST(ThreadPool, ExecutesSubmittedTasks) {
   EXPECT_EQ(counter.load(), 64);
 }
 
-TEST(ThreadPool, WaitIdleDrainsQueue) {
-  cc::ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 16; ++i) {
-    (void)pool.submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      done.fetch_add(1);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 16);
-  EXPECT_EQ(pool.pending(), 0u);
-}
-
 TEST(ThreadPool, PropagatesExceptionsThroughFutures) {
   cc::ThreadPool pool(1);
   auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
@@ -263,6 +250,13 @@ TEST(ThreadPool, AtLeastOneWorker) {
   cc::ThreadPool pool(0);
   EXPECT_EQ(pool.worker_count(), 1u);
   EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+}
+
+TEST(ThreadPool, ResolveThreadCountMapsZeroToEveryCore) {
+  EXPECT_EQ(cc::resolve_thread_count(1), 1u);
+  EXPECT_EQ(cc::resolve_thread_count(3), 3u);
+  EXPECT_EQ(cc::resolve_thread_count(0),
+            std::max<std::size_t>(std::thread::hardware_concurrency(), 1));
 }
 
 TEST(Stopwatch, MeasuresElapsedTime) {

@@ -304,8 +304,9 @@ io::Bytes build_plan_bytes(cl::CrowdMapService& service) {
 void run_campaign_to_crash(st::FaultEnv& env) {
   Fixture fixture;
   prefill(fixture);
-  cl::CrowdMapService service(storage_config(4), fixture.decoder(), 4, nullptr,
-                              &env);
+  cc::ThreadPool pool(4);
+  cl::CrowdMapService service(storage_config(4), fixture.decoder(), pool,
+                              nullptr, &env);
   (void)service.recover_from_storage();  // fresh dir; attaches the journal
   submit_all(service);
 }
@@ -316,8 +317,9 @@ io::Bytes recover_resubmit_build(st::FaultEnv& env, std::size_t threads,
                                  st::RecoveryReport* report_out = nullptr) {
   Fixture fixture;
   prefill(fixture);
-  cl::CrowdMapService service(storage_config(threads), fixture.decoder(),
-                              threads, nullptr, &env);
+  cc::ThreadPool pool(threads);
+  cl::CrowdMapService service(storage_config(threads), fixture.decoder(), pool,
+                              nullptr, &env);
   crowdmap::common::Expected<st::RecoveryReport> report =
       crowdmap::common::make_error("unset", "");
   EXPECT_NO_THROW(report = service.recover_from_storage());
@@ -348,7 +350,8 @@ TEST(DurabilityCampaign, CrashedRunsRecoverToTheReferencePlanBytes) {
   {
     Fixture fixture;
     prefill(fixture);
-    cl::CrowdMapService service(storage_config(1), fixture.decoder(), 1,
+    cc::ThreadPool pool(1);
+    cl::CrowdMapService service(storage_config(1), fixture.decoder(), pool,
                                 nullptr, &reference_env);
     ASSERT_TRUE(service.recover_from_storage().ok());
     submit_all(service);

@@ -1,11 +1,15 @@
 // Tests for the parallel execution layer: parallel_for semantics (coverage,
-// nesting, exceptions), the ThreadPool observer reentrancy fix, the bounded
-// S2 memo cache, and the headline guarantee — the pipeline produces
-// bit-identical results at any thread count.
+// nesting, exceptions), task groups sharing one pool (isolation, teardown,
+// observers), the bounded S2 memo cache, and the headline guarantee — the
+// pipeline produces bit-identical results at any thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <memory>
+#include <stdexcept>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -92,36 +96,145 @@ TEST(ParallelFor, FirstExceptionPropagates) {
   EXPECT_EQ(future.get(), 42);
 }
 
-// --------------------------------------------------- ThreadPool observers ---
+// -------------------------------------------------------------- TaskGroup ---
 
-TEST(ThreadPoolObservers, QueueObserverMayCallBackIntoThePool) {
-  // The observer fires outside the pool lock, so calling pending() (which
-  // takes that lock) from inside it must not deadlock — this hung before the
-  // observers were moved out of the critical section.
+TEST(TaskGroup, WaitDrainsQueue) {
   cc::ThreadPool pool(2);
-  std::atomic<std::size_t> observed{0};
-  pool.set_queue_observer([&pool, &observed](std::size_t) {
-    observed.fetch_add(pool.pending() + 1, std::memory_order_relaxed);
-  });
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit([] {}));
+  cc::TaskGroup group(pool);
+  std::atomic<int> done{0};
+  for (int i = 0; i < 16; ++i) {
+    group.submit([&done] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      done.fetch_add(1);
+    });
   }
-  for (auto& f : futures) f.get();
-  pool.wait_idle();
+  group.wait();
+  EXPECT_EQ(done.load(), 16);
+  EXPECT_EQ(group.pending(), 0u);
+}
+
+TEST(TaskGroup, QueueObserverMayCallBackIntoTheGroup) {
+  // The observer fires outside the group lock, so calling pending() (which
+  // takes that lock) from inside it must not deadlock.
+  cc::ThreadPool pool(2);
+  cc::TaskGroup group(pool);
+  std::atomic<std::size_t> observed{0};
+  group.set_queue_observer([&group, &observed](std::size_t) {
+    observed.fetch_add(group.pending() + 1, std::memory_order_relaxed);
+  });
+  for (int i = 0; i < 64; ++i) group.submit([] {});
+  group.wait();
   EXPECT_GE(observed.load(), 64u);
 }
 
-TEST(ThreadPoolObservers, TaskObserverSeesEveryTask) {
+TEST(TaskGroup, TaskObserverSeesEveryTask) {
   cc::ThreadPool pool(2);
+  cc::TaskGroup group(pool);
   std::atomic<int> tasks_observed{0};
-  pool.set_task_observer([&](double seconds) {
+  group.set_task_observer([&](double seconds) {
     EXPECT_GE(seconds, 0.0);
     tasks_observed.fetch_add(1, std::memory_order_relaxed);
   });
-  for (int i = 0; i < 20; ++i) (void)pool.submit([] {});
-  pool.wait_idle();
+  for (int i = 0; i < 20; ++i) group.submit([] {});
+  group.wait();
   EXPECT_EQ(tasks_observed.load(), 20);
+}
+
+TEST(TaskGroup, WaitIgnoresAnotherGroupsBlockedTask) {
+  cc::ThreadPool pool(2);
+  cc::TaskGroup blocked(pool);
+  cc::TaskGroup quick(pool);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::atomic<bool> released{false};
+  blocked.submit([&, gate = release.get_future().share()] {
+    started.set_value();
+    gate.wait();
+    released = true;
+  });
+  started.get_future().wait();
+  std::atomic<int> done{0};
+  for (int i = 0; i < 8; ++i) quick.submit([&done] { done.fetch_add(1); });
+  quick.wait();  // must not wait for `blocked`'s task
+  EXPECT_EQ(done.load(), 8);
+  EXPECT_FALSE(released.load());
+  EXPECT_EQ(blocked.pending(), 0u);
+  release.set_value();
+  blocked.wait();
+  EXPECT_TRUE(released.load());
+}
+
+TEST(TaskGroup, DestructionDropsQueuedTasksAndWaitsForTheRunningOne) {
+  cc::ThreadPool pool(1);
+  auto group = std::make_unique<cc::TaskGroup>(pool);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::atomic<bool> running_finished{false};
+  std::atomic<int> queued_ran{0};
+  group->submit([&, gate = release.get_future().share()] {
+    started.set_value();
+    gate.wait();
+    running_finished = true;
+  });
+  for (int i = 0; i < 4; ++i) group->submit([&queued_ran] { ++queued_ran; });
+  started.get_future().wait();
+  EXPECT_EQ(group->pending(), 4u);
+
+  std::atomic<bool> destroyed{false};
+  std::thread destroyer([&] {
+    group.reset();
+    destroyed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(destroyed.load()) << "returned while a task was still running";
+  release.set_value();
+  destroyer.join();
+  EXPECT_TRUE(running_finished.load());
+  // The pool runs on; the dropped tasks' pool slots find nothing to run.
+  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+  EXPECT_EQ(queued_ran.load(), 0);
+}
+
+TEST(TaskGroup, ThrowingTaskNeitherBlocksWaitNorKillsTheWorker) {
+  cc::ThreadPool pool(1);
+  cc::TaskGroup group(pool);
+  std::atomic<int> done{0};
+  group.submit([] { throw std::runtime_error("boom"); });
+  group.submit([&done] { done.fetch_add(1); });
+  group.wait();
+  EXPECT_EQ(done.load(), 1);
+  group.submit([&done] { done.fetch_add(1); });
+  group.wait();
+  EXPECT_EQ(done.load(), 2);
+  EXPECT_EQ(pool.worker_count(), 1u);
+  EXPECT_EQ(pool.submit([] { return 3; }).get(), 3);
+}
+
+TEST(TaskGroup, TaskRunningParallelForOnASaturatedPoolCompletes) {
+  // Two workers: one blocked in another group, one running the group task.
+  // No worker is free to run that task's parallel_for helpers, so the task
+  // drains the loop itself, as a refresh on a node's group does.
+  cc::ThreadPool pool(2);
+  cc::TaskGroup other(pool);
+  cc::TaskGroup group(pool);
+  std::promise<void> other_started;
+  std::promise<void> release;
+  other.submit([&other_started, gate = release.get_future().share()] {
+    other_started.set_value();
+    gate.wait();
+  });
+  other_started.get_future().wait();
+  const std::size_t n = 1000;
+  std::vector<std::atomic<int>> visits(n);
+  group.submit([&] {
+    cc::parallel_for(&pool, n, [&](std::size_t i) {
+      visits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  group.wait();
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(visits[i].load(), 1);
+  release.set_value();
+  other.wait();
 }
 
 // ------------------------------------------------------- BoundedMemoCache ---

@@ -1,12 +1,21 @@
 // Tests for the assembled cloud backend through the api::Client facade:
 // chunked uploads through ingestion, async extraction on the worker pool,
-// per-floor incremental plan builds.
+// per-floor incremental plan builds. SharedPool drives two bare services on
+// one pool through the cluster's node-crash teardown.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <map>
+#include <memory>
+#include <optional>
 #include <thread>
 
 #include "api/v2.hpp"
+#include "cloud/service.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
 
@@ -21,7 +30,7 @@ namespace {
 ap::Client make_client(std::size_t workers = 2) {
   ap::ClientOptions options;
   options.config = co::PipelineConfig::fast_profile();
-  options.workers_per_node = workers;
+  options.config.parallel.threads = workers;
   return ap::Client(std::move(options));
 }
 
@@ -153,4 +162,84 @@ TEST(Service, ConcurrentSubmissionFromManyClients) {
   client.drain();
   EXPECT_EQ(client.stats().uploads_completed, videos.size());
   EXPECT_EQ(client.document_store().size(), videos.size());
+}
+
+TEST(SharedPool, TornDownServiceDropsItsQueueAndSparesItsNeighbour) {
+  // A crashed cluster node in miniature: services A and B share a one-worker
+  // pool. A's first extraction blocks in its decoder with two more queued
+  // behind it, and B has one queued behind those. Tearing A down must wait
+  // for the running extraction, which still reaches A's planners once
+  // released, drop A's queued work, and leave B's intact.
+  const auto videos = small_campaign(706);
+  ASSERT_GE(videos.size(), 4u);
+  const std::map<std::string, std::size_t> index{
+      {"a0", 0}, {"a1", 1}, {"a2", 2}, {"b0", 3}};
+  const std::string building = videos[0].building;
+  const int floor = videos[0].floor;
+  const auto document = [&](const std::string& id) {
+    cl::Document doc;
+    doc.id = id;
+    doc.building = building;
+    doc.floor = floor;
+    doc.payload = cl::Blob(64, 1);
+    return doc;
+  };
+  const auto config = co::PipelineConfig::fast_profile();
+  cc::ThreadPool pool(1);
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::atomic<int> a_decodes{0};
+  auto registry_a = std::make_shared<crowdmap::obs::MetricsRegistry>();
+  auto a = std::make_unique<cl::CrowdMapService>(
+      config,
+      [&, gate = release.get_future().share()](const cl::Document& doc)
+          -> std::optional<cs::SensorRichVideo> {
+        if (a_decodes.fetch_add(1) == 0) {
+          entered.set_value();
+          gate.wait();
+        }
+        return videos[index.at(doc.id)];
+      },
+      pool, registry_a);
+  cl::CrowdMapService b(
+      config,
+      [&](const cl::Document& doc) -> std::optional<cs::SensorRichVideo> {
+        return videos[index.at(doc.id)];
+      },
+      pool);
+
+  // A's planner for the floor exists before the teardown, so a task that
+  // outlived the planners would touch freed memory.
+  (void)a->build_floor_plan(building, floor);
+  a->ingest_document(document("a0"));
+  entered.get_future().wait();
+  a->ingest_document(document("a1"));
+  a->ingest_document(document("a2"));
+  b.ingest_document(document("b0"));
+  EXPECT_EQ(registry_a->gauge("crowdmap_worker_queue_depth", {},
+                              "Extraction tasks waiting in the pool")
+                .value(),
+            2.0);
+
+  std::atomic<bool> destroyed{false};
+  std::thread destroyer([&] {
+    a.reset();
+    destroyed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(destroyed.load()) << "A was torn down under a running task";
+  release.set_value();
+  destroyer.join();
+  EXPECT_EQ(a_decodes.load(), 1);
+  // The dropped queue is reported, so the node's surviving gauge reads empty.
+  EXPECT_EQ(registry_a->gauge("crowdmap_worker_queue_depth", {},
+                              "Extraction tasks waiting in the pool")
+                .value(),
+            0.0);
+
+  b.drain();
+  const auto stats = b.stats();
+  EXPECT_EQ(stats.videos_decoded, 1u);
+  EXPECT_EQ(stats.trajectories_extracted + stats.trajectories_dropped, 1u);
 }

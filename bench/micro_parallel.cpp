@@ -1,5 +1,6 @@
 // Parallel hot-path speedups: pairwise aggregation fan-out, sharded layout
-// scoring, and the S2 memo cache, at 1 / 2 / 4 threads.
+// scoring, one upload's extraction, and the S2 memo cache, at 1 / 2 / 4
+// threads.
 //
 // Emits BENCH_parallel.json lines: per-stage wall-clock at each thread count,
 // the threads=4 vs threads=1 speedup ratios, S2 cache hit statistics, and the
@@ -19,6 +20,7 @@
 #include "common/thread_pool.hpp"
 #include "room/layout.hpp"
 #include "trajectory/aggregate.hpp"
+#include "trajectory/trajectory.hpp"
 #include "vision/panorama.hpp"
 
 namespace {
@@ -108,6 +110,27 @@ int main() {
   }
   bench::emit_bench_scalar(kBench, "layout_speedup_t4",
                            layout_means.front() / layout_means.back());
+
+  // ---- One upload's extraction: per-frame probes and per-key-frame
+  // descriptors fan out on the pool (the arrival path of a warm refresh).
+  sim::UserSimulator user(scene, spec, {}, common::Rng(0xA13));
+  const auto upload = user.hallway_walk(sim::Lighting::day());
+  std::vector<double> extract_means;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    std::unique_ptr<common::ThreadPool> owner;
+    common::ThreadPool* pool = pool_for(threads, owner);
+    std::vector<double> samples;
+    for (int r = 0; r < kRepeats; ++r) {
+      timer.restart();
+      (void)trajectory::extract_trajectory(upload, {}, pool);
+      samples.push_back(timer.elapsed_seconds());
+    }
+    bench::emit_bench_json(kBench, "extract_threads" + std::to_string(threads),
+                           samples);
+    extract_means.push_back(common::summarize(samples).mean);
+  }
+  bench::emit_bench_scalar(kBench, "extract_speedup_t4",
+                           extract_means.front() / extract_means.back());
 
   // ---- S2 memo cache: a second aggregation round over the same uploads is
   // the incremental-rebuild pattern the cache exists for.

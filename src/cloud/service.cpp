@@ -32,7 +32,8 @@ CrowdMapService::CrowdMapService(core::PipelineConfig config,
       decoder_(std::move(decoder)),
       registry_(registry ? std::move(registry)
                          : std::make_shared<obs::MetricsRegistry>()),
-      tasks_(pool) {
+      tasks_(pool),
+      fan_out_pool_(config_.parallel.threads != 1 ? &pool : nullptr) {
   uploads_completed_ = &registry_->counter(
       "crowdmap_uploads_completed_total", {}, "Chunked uploads reassembled");
   uploads_rejected_ = &registry_->counter(
@@ -153,9 +154,8 @@ core::IncrementalPlanner& CrowdMapService::planner_for(const FloorKey& key) {
   auto& slot = planners_[key];
   if (!slot) {
     slot = std::make_unique<core::IncrementalPlanner>(config_, registry_);
-    // The shared pool doubles as the refresh pipeline's worker pool —
-    // unless the config demands serial execution (threads == 1).
-    if (config_.parallel.threads != 1) slot->set_thread_pool(&tasks_.pool());
+    // The shared pool doubles as the refresh pipeline's worker pool.
+    slot->set_thread_pool(fan_out_pool_);
     // All floors share the service recorder: one black box for the backend.
     if (flight_ != nullptr) slot->set_flight_recorder(flight_.get());
   }
@@ -229,7 +229,8 @@ void CrowdMapService::dispatch_extraction(const Document& doc) {
       }
     }
     common::Stopwatch timer;
-    auto traj = trajectory::extract_trajectory(*video, config_.extraction);
+    auto traj = trajectory::extract_trajectory(*video, config_.extraction,
+                                               fan_out_pool_);
     extract_seconds_->observe(timer.elapsed_seconds());
     const FloorKey key{doc.building, doc.floor};
     // Admission applies the pipeline's unqualified-data gates and hashes the

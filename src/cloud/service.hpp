@@ -247,6 +247,9 @@ class CrowdMapService {
       CM_GUARDED_BY(mutex_);
   std::map<FloorKey, bool> refresh_pending_ CM_GUARDED_BY(mutex_);
   common::TaskGroup tasks_;
+  /// What extraction and the planners fan out on: the shared pool, or
+  /// nullptr when config.parallel.threads == 1 demands serial execution.
+  common::ThreadPool* const fan_out_pool_;
   std::unique_ptr<IngestService> ingest_;
 };
 

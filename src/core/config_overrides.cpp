@@ -149,7 +149,7 @@ constexpr ConfigKeyInfo kConfigKeys[] = {
                 "Bounded S2 match-score memo entries (0 disables)"),
     CM_KEY_SIZE("parallel.threads", nullptr, parallel.threads,
                 "One backend pool per client (0 = all cores, 1 = one "
-                "extraction worker and a serial planner)"),
+                "extraction worker, serial extraction and a serial planner)"),
     CM_KEY_BOOL("simd.force_scalar", nullptr, simd.force_scalar,
                 "Route SIMD kernels through the scalar reference path"),
     CM_KEY_SIZE("simd.match_tile", nullptr, simd.match_tile,

@@ -64,14 +64,14 @@ bool IncrementalPlanner::ingest(trajectory::Trajectory traj) {
   // Idempotent by video_id: re-submitting an upload (retry storms, replays
   // after crash recovery) replaces the earlier extraction instead of
   // duplicating a trajectory — the corpus converges to one entry per video.
-  for (auto& [existing, existing_key] : corpus_) {
+  for (auto& [existing, existing_key] : inbox_) {
     if (existing.video_id == traj.video_id) {
       existing = std::move(traj);
       existing_key = key;
       return true;
     }
   }
-  corpus_.emplace_back(std::move(traj), key);
+  inbox_.emplace_back(std::move(traj), key);
   return true;
 }
 
@@ -79,17 +79,24 @@ std::shared_ptr<const PipelineResult> IncrementalPlanner::refresh(
     const std::optional<WorldFrame>& frame) {
   common::MutexLock refresh_lock(refresh_mutex_);
 
-  std::vector<std::pair<trajectory::Trajectory, cache::ArtifactKey>> corpus;
+  std::vector<Entry> arrivals;
   {
     common::MutexLock lock(mutex_);
-    corpus = corpus_;
+    arrivals.swap(inbox_);
   }
   // Refresh order is video_id order regardless of arrival interleaving —
-  // the foundation of the incremental == batch property.
-  std::stable_sort(corpus.begin(), corpus.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first.video_id < b.first.video_id;
-                   });
+  // the foundation of the incremental == batch property. An arrival
+  // replaces the corpus entry with its video_id.
+  for (Entry& arrival : arrivals) {
+    const auto at = std::lower_bound(
+        corpus_.begin(), corpus_.end(), arrival.first.video_id,
+        [](const Entry& e, int id) { return e.first.video_id < id; });
+    if (at != corpus_.end() && at->first.video_id == arrival.first.video_id) {
+      *at = std::move(arrival);
+    } else {
+      corpus_.insert(at, std::move(arrival));
+    }
+  }
 
   // A fresh pipeline per refresh is the config hoist: the *expensive*
   // persistent state (artifact cache, S2 memo, hashed corpus) lives in the
@@ -102,7 +109,24 @@ std::shared_ptr<const PipelineResult> IncrementalPlanner::refresh(
   if (obs::FlightRecorder* flight = flight_recorder(); flight != nullptr) {
     pipeline.set_flight_recorder(flight);
   }
-  for (auto& [traj, key] : corpus) {
+  // The corpus is lent to the pipeline by move and taken back when the run
+  // ends, even by an exception. Every entry passed the same quality gates
+  // at admission, so the pipeline keeps all of them, in corpus order.
+  struct ReturnCorpus {
+    ReturnCorpus(CrowdMapPipeline& p, std::vector<Entry>& c)
+        : pipeline(p), corpus(c) {}
+    ReturnCorpus(const ReturnCorpus&) = delete;
+    ReturnCorpus& operator=(const ReturnCorpus&) = delete;
+    ~ReturnCorpus() {
+      auto lent = pipeline.release_trajectories();
+      for (std::size_t i = 0; i < lent.size(); ++i) {
+        corpus[i].first = std::move(lent[i]);
+      }
+    }
+    CrowdMapPipeline& pipeline;
+    std::vector<Entry>& corpus;
+  } return_corpus(pipeline, corpus_);
+  for (auto& [traj, key] : corpus_) {
     pipeline.ingest_trajectory(std::move(traj), key);
   }
   const auto started = std::chrono::steady_clock::now();
@@ -132,21 +156,26 @@ CacheReuseStats IncrementalPlanner::last_reuse() const {
 std::vector<trajectory::Trajectory> IncrementalPlanner::trajectories() const {
   std::vector<trajectory::Trajectory> out;
   {
+    common::MutexLock refresh_lock(refresh_mutex_);
     common::MutexLock lock(mutex_);
-    out.reserve(corpus_.size());
+    out.reserve(inbox_.size() + corpus_.size());
+    for (const auto& [traj, key] : inbox_) out.push_back(traj);
     for (const auto& [traj, key] : corpus_) out.push_back(traj);
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const trajectory::Trajectory& a,
-                      const trajectory::Trajectory& b) {
-                     return a.video_id < b.video_id;
-                   });
+  // Inbox entries come first, so after the stable sort the first of equal
+  // video_ids is the inbox one, the entry the next refresh will keep.
+  const auto by_id = [](const trajectory::Trajectory& a,
+                        const trajectory::Trajectory& b) {
+    return a.video_id < b.video_id;
+  };
+  std::stable_sort(out.begin(), out.end(), by_id);
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const trajectory::Trajectory& a,
+                           const trajectory::Trajectory& b) {
+                          return a.video_id == b.video_id;
+                        }),
+            out.end());
   return out;
-}
-
-std::size_t IncrementalPlanner::corpus_size() const {
-  common::MutexLock lock(mutex_);
-  return corpus_.size();
 }
 
 }  // namespace crowdmap::core

@@ -6,13 +6,16 @@
 //
 // and owns what must persist *between* refreshes for incrementality to pay:
 // the extracted corpus (hashed once at admission), the content-addressed
-// ArtifactCache, and the S2 memo cache. Each refresh() builds a fresh
-// CrowdMapPipeline over the corpus with those caches attached: stages whose
-// input set did not change resolve to the same artifact keys and replay from
-// the cache; only work downstream of the new upload recomputes. Because
-// reuse is keyed on content, invalidation is implicit — there is no
-// out-of-date bit to get wrong, and the refreshed plan is byte-identical to
-// a cold rebuild at any thread count (tests/test_determinism.cpp).
+// ArtifactCache, and the S2 memo cache. ingest() appends to an inbox; each
+// refresh() folds the inbox into the corpus (kept sorted by video_id) and
+// lends the corpus by move to a fresh CrowdMapPipeline with those caches
+// attached, taking it back when the run ends — the corpus is never copied.
+// Stages whose input set did not change resolve to the same artifact keys
+// and replay from the cache; only work downstream of the new upload
+// recomputes. Because reuse is keyed on content, invalidation is implicit —
+// there is no out-of-date bit to get wrong, and the refreshed plan is
+// byte-identical to a cold rebuild at any thread count
+// (tests/test_determinism.cpp).
 #pragma once
 
 #include <memory>
@@ -60,18 +63,19 @@ class IncrementalPlanner {
 
   /// Admits one extracted trajectory: applies the pipeline's quality gates,
   /// hashes the content key (outside any lock — safe to call from worker
-  /// threads) and appends to the corpus. Idempotent by video_id — a
-  /// re-submitted upload (retry storm, post-crash replay) replaces its
-  /// earlier extraction rather than duplicating it. Returns false when the
-  /// gates rejected the upload.
+  /// threads, and while a refresh runs) and appends to the inbox the next
+  /// refresh folds into the corpus. Idempotent by video_id — a re-submitted
+  /// upload (retry storm, post-crash replay) replaces its earlier extraction
+  /// rather than duplicating it. Returns false when the gates rejected the
+  /// upload.
   bool ingest(trajectory::Trajectory traj) CM_EXCLUDES(mutex_);
 
-  /// Rebuilds the floor plan over the whole corpus, reusing every artifact
-  /// whose inputs did not change. Serialized against concurrent refreshes.
-  /// The result is retained (latest()) and returned.
+  /// Folds the inbox into the corpus and rebuilds the floor plan over it,
+  /// reusing every artifact whose inputs did not change. Serialized against
+  /// concurrent refreshes. The result is retained (latest()) and returned.
   std::shared_ptr<const PipelineResult> refresh(
       const std::optional<WorldFrame>& frame = std::nullopt)
-      CM_EXCLUDES(mutex_);
+      CM_EXCLUDES(mutex_, refresh_mutex_);
 
   /// Last complete refresh result; nullptr before the first refresh. The
   /// service serves this while a background refresh runs.
@@ -81,10 +85,12 @@ class IncrementalPlanner {
   /// Cache reuse of the most recent refresh (all zeros before the first).
   [[nodiscard]] CacheReuseStats last_reuse() const CM_EXCLUDES(mutex_);
 
-  /// Kept trajectories, sorted by video_id (the refresh ingest order).
+  /// Kept trajectories — the corpus plus the inbox, an inbox entry winning
+  /// over a corpus entry with the same video_id — sorted by video_id (the
+  /// refresh ingest order). Waits for a running refresh, which has the
+  /// corpus on loan.
   [[nodiscard]] std::vector<trajectory::Trajectory> trajectories() const
-      CM_EXCLUDES(mutex_);
-  [[nodiscard]] std::size_t corpus_size() const CM_EXCLUDES(mutex_);
+      CM_EXCLUDES(mutex_, refresh_mutex_);
 
   /// Lends a worker pool to each refresh pipeline (not owned; nullptr
   /// returns to config-driven pools).
@@ -128,15 +134,21 @@ class IncrementalPlanner {
   common::FaultInjector cache_faults_;  // drives kArtifactCacheEvict
   common::ThreadPool* pool_ = nullptr;
 
-  mutable common::Mutex mutex_;
-  std::vector<std::pair<trajectory::Trajectory, cache::ArtifactKey>> corpus_
-      CM_GUARDED_BY(mutex_);
-  std::shared_ptr<const PipelineResult> latest_ CM_GUARDED_BY(mutex_);
-  CacheReuseStats last_reuse_ CM_GUARDED_BY(mutex_);
+  /// An admitted trajectory and its content key.
+  using Entry = std::pair<trajectory::Trajectory, cache::ArtifactKey>;
 
   /// Serializes refresh() bodies (held across the whole pipeline run, so it
   /// must never nest inside mutex_).
-  common::Mutex refresh_mutex_;
+  mutable common::Mutex refresh_mutex_;
+  /// Admitted trajectories sorted by video_id, one per id. refresh() lends
+  /// them to its pipeline, so only the refresh_mutex_ holder may touch them.
+  std::vector<Entry> corpus_ CM_GUARDED_BY(refresh_mutex_);
+
+  mutable common::Mutex mutex_;
+  /// Admissions since the last refresh, one per video_id, in arrival order.
+  std::vector<Entry> inbox_ CM_GUARDED_BY(mutex_);
+  std::shared_ptr<const PipelineResult> latest_ CM_GUARDED_BY(mutex_);
+  CacheReuseStats last_reuse_ CM_GUARDED_BY(mutex_);
 };
 
 }  // namespace crowdmap::core

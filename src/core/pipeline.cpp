@@ -174,7 +174,7 @@ obs::Histogram& CrowdMapPipeline::stage_histogram(const char* stage) {
 void CrowdMapPipeline::ingest(const sim::SensorRichVideo& video) {
   auto span = trace_->scoped("extract");
   trajectory::Trajectory traj =
-      trajectory::extract_trajectory(video, config_.extraction);
+      trajectory::extract_trajectory(video, config_.extraction, worker_pool());
   stage_histogram("extract").observe(span.end());
   ingest_trajectory(std::move(traj));
 }

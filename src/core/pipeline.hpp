@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/artifact_cache.hpp"
@@ -218,6 +219,13 @@ class CrowdMapPipeline {
   [[nodiscard]] const std::vector<trajectory::Trajectory>& trajectories()
       const noexcept {
     return trajectories_;
+  }
+  /// Moves the kept trajectories out, in ingest order (IncrementalPlanner
+  /// lends its corpus to one run and takes it back this way).
+  [[nodiscard]] std::vector<trajectory::Trajectory> release_trajectories()
+      noexcept {
+    content_keys_.clear();
+    return std::exchange(trajectories_, {});
   }
   [[nodiscard]] const PipelineConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t dropped_count() const noexcept {

@@ -27,7 +27,8 @@ sensors::TrackPoint track_at(const std::vector<sensors::TrackPoint>& track,
 }
 
 Trajectory extract_trajectory(const sim::SensorRichVideo& video,
-                              const ExtractionConfig& config) {
+                              const ExtractionConfig& config,
+                              common::ThreadPool* pool) {
   Trajectory traj;
   traj.video_id = video.video_id;
   traj.user_id = video.user_id;
@@ -54,64 +55,69 @@ Trajectory extract_trajectory(const sim::SensorRichVideo& video,
   };
 
   // Key-frame selection: HOG + NCC against the last kept frame (§III.B.I).
-  // Pass 1 picks indices cheaply; descriptors are computed only for the
-  // frames that survive selection and decimation.
+  // Each frame is probed on its own (gray, unqualified-data gate, HOG), so
+  // the probes fan out into per-frame slots; the selection over them is a
+  // serial chain. Descriptors are computed only for the frames that survive
+  // selection and decimation.
+  struct Probe {
+    imaging::Image gray;
+    std::vector<float> hog;
+    bool qualified = false;
+  };
+  std::vector<Probe> probes(video.frames.size());
+  common::parallel_for(pool, probes.size(), [&](std::size_t i) {
+    Probe& probe = probes[i];
+    probe.gray = video.frames[i].image.to_gray();
+    // Unqualified-data gate: blurred/featureless frames carry no anchors.
+    probe.qualified = probe.gray.stddev() >= config.min_frame_stddev;
+    if (probe.qualified) probe.hog = imaging::hog_descriptor(probe.gray, config.hog);
+  });
+
   std::vector<std::size_t> selected;
-  std::vector<imaging::Image> selected_gray;
-  {
-    std::vector<float> last_hog;
-    const imaging::Image* last_gray = nullptr;
-    for (std::size_t i = 0; i < video.frames.size(); ++i) {
-      imaging::Image gray = video.frames[i].image.to_gray();
-
-      // Unqualified-data gate: blurred/featureless frames carry no anchors.
-      if (gray.stddev() < config.min_frame_stddev) continue;
-
-      const auto hog = imaging::hog_descriptor(gray, config.hog);
-      if (last_gray != nullptr) {
-        const double hog_dist = imaging::descriptor_distance(hog, last_hog);
-        const double ncc = imaging::normalized_cross_correlation(gray, *last_gray);
-        const bool extremely_similar = ncc > config.keyframe_ncc_max &&
-                                       hog_dist < config.keyframe_hog_min;
-        if (extremely_similar) continue;
-      }
-      selected.push_back(i);
-      selected_gray.push_back(std::move(gray));
-      last_gray = &selected_gray.back();
-      last_hog = hog;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    if (!probes[i].qualified) continue;
+    if (!selected.empty()) {
+      const Probe& last = probes[selected.back()];
+      // Extremely similar = HOG distance below h_g AND NCC above the cap;
+      // NCC is the dearer test, so it runs only when the HOG test passes.
+      const bool extremely_similar =
+          imaging::descriptor_distance(probes[i].hog, last.hog) <
+              config.keyframe_hog_min &&
+          imaging::normalized_cross_correlation(probes[i].gray, last.gray) >
+              config.keyframe_ncc_max;
+      if (extremely_similar) continue;
     }
+    selected.push_back(i);
   }
-  // Uniform decimation to the key-frame budget.
+  // Uniform decimation to the key-frame budget (a budget of one keeps the
+  // first selected frame).
   if (config.max_keyframes > 0 && selected.size() > config.max_keyframes) {
+    const std::size_t steps = config.max_keyframes - 1;
     std::vector<std::size_t> kept;
-    std::vector<imaging::Image> kept_gray;
     for (std::size_t k = 0; k < config.max_keyframes; ++k) {
       const std::size_t idx =
-          k * (selected.size() - 1) / (config.max_keyframes - 1);
+          steps == 0 ? 0 : k * (selected.size() - 1) / steps;
       if (!kept.empty() && kept.back() == selected[idx]) continue;
       kept.push_back(selected[idx]);
-      kept_gray.push_back(std::move(selected_gray[idx]));
     }
     selected = std::move(kept);
-    selected_gray = std::move(kept_gray);
   }
 
-  for (std::size_t k = 0; k < selected.size(); ++k) {
+  traj.keyframes.resize(selected.size());
+  common::parallel_for(pool, selected.size(), [&](std::size_t k) {
     const std::size_t i = selected[k];
     const auto& frame = video.frames[i];
-    KeyFrame kf;
+    KeyFrame& kf = traj.keyframes[k];
     kf.frame_index = i;
     kf.t = frame.t;
-    const auto tp = track_at(traj.points, frame.t);
-    kf.position = tp.position;
+    kf.position = track_at(traj.points, frame.t).position;
     kf.heading = heading_at(frame.t);
     kf.cheap = vision::compute_cheap_descriptors(frame.image);
-    kf.surf = vision::detect_and_describe(selected_gray[k], config.surf);
+    kf.surf = vision::detect_and_describe(probes[i].gray, config.surf);
     kf.true_position = frame.true_pose.position;
     kf.true_heading = frame.true_pose.theta;
-    kf.gray = std::move(selected_gray[k]);
-    traj.keyframes.push_back(std::move(kf));
-  }
+    kf.gray = std::move(probes[i].gray);
+  });
   return traj;
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "geometry/vec2.hpp"
 #include "imaging/hog.hpp"
 #include "sensors/dead_reckoning.hpp"
@@ -69,9 +70,12 @@ struct ExtractionConfig {
 
 /// Builds a trajectory from an uploaded video: dead-reckon the IMU stream,
 /// select key-frames, compute descriptors. The video's pixel data is no
-/// longer needed afterwards.
+/// longer needed afterwards. The per-frame probe and the per-key-frame
+/// descriptors fan out on `pool` (not owned; nullptr runs them serially);
+/// the result is byte-identical with or without it.
 [[nodiscard]] Trajectory extract_trajectory(const sim::SensorRichVideo& video,
-                                            const ExtractionConfig& config = {});
+                                            const ExtractionConfig& config = {},
+                                            common::ThreadPool* pool = nullptr);
 
 /// Position on the dead-reckoned track at time t (linear interpolation).
 [[nodiscard]] sensors::TrackPoint track_at(

@@ -104,6 +104,113 @@ TEST(Api, IncrementalRefreshMatchesColdRebuildByteForByte) {
   EXPECT_EQ(scratch.cache.artifact_hits, 0u);  // first build is all misses
 }
 
+TEST(Api, ResubmittedUploadReplacesItsTrajectoryByteForByte) {
+  auto videos = tiny_campaign(817);
+  ASSERT_GE(videos.size(), 3u);
+  const std::string building = videos.front().building;
+  const int floor = videos.front().floor;
+
+  auto warm = make_client();
+  for (const auto& video : videos) ASSERT_TRUE(warm.submit_video(video).status.ok());
+  const auto first = warm.build_plan({building, floor, std::nullopt, {}});
+
+  // The same video id arrives again with different content: the head of
+  // the capture, as a retried upload that lost its tail would carry.
+  auto& retried = videos[1];
+  retried.frames.resize(retried.frames.size() * 2 / 3);
+  const double cutoff = retried.frames.back().t;
+  auto& samples = retried.imu.samples;
+  while (!samples.empty() && samples.back().t > cutoff) samples.pop_back();
+  ASSERT_TRUE(warm.submit_video(retried).status.ok());
+  warm.drain();
+
+  auto cold = make_client();
+  for (const auto& video : videos) ASSERT_TRUE(cold.submit_video(video).status.ok());
+  const auto scratch = cold.build_plan({building, floor, std::nullopt, {}});
+
+  // Before the build, the drained re-submission already replaces the built
+  // trajectory in the listing.
+  const auto points_of = [&](const ap::Client& client) {
+    for (const auto& traj : client.trajectories(building, floor)) {
+      if (traj.video_id == retried.video_id) return traj.points.size();
+    }
+    return std::size_t{0};
+  };
+  EXPECT_GT(points_of(cold), 0u);
+  EXPECT_EQ(points_of(warm), points_of(cold));
+
+  const auto second = warm.build_plan({building, floor, std::nullopt, {}});
+  EXPECT_EQ(plan_bytes(second.result), plan_bytes(scratch.result));
+  EXPECT_EQ(second.result.diagnostics.trajectories_kept,
+            scratch.result.diagnostics.trajectories_kept);
+  EXPECT_EQ(second.result.diagnostics.trajectories_kept,
+            first.result.diagnostics.trajectories_kept);
+}
+
+TEST(Api, TrajectoriesListDrainedUploadsBeforeTheirBuild) {
+  const auto videos = tiny_campaign(818);
+  ASSERT_GE(videos.size(), 4u);
+  const std::string building = videos.front().building;
+  const int floor = videos.front().floor;
+
+  // Half the uploads built into the corpus; the rest, submitted in reverse,
+  // drained but not built yet.
+  auto client = make_client();
+  const std::size_t half = videos.size() / 2;
+  for (std::size_t v = 0; v < half; ++v) {
+    ASSERT_TRUE(client.submit_video(videos[v]).status.ok());
+  }
+  const auto first = client.build_plan({building, floor, std::nullopt, {}});
+  for (std::size_t v = videos.size(); v-- > half;) {
+    ASSERT_TRUE(client.submit_video(videos[v]).status.ok());
+  }
+  client.drain();
+
+  const auto ids_of = [](const std::vector<crowdmap::trajectory::Trajectory>& trajs) {
+    std::vector<int> ids;
+    for (const auto& traj : trajs) ids.push_back(traj.video_id);
+    return ids;
+  };
+  const auto listed = ids_of(client.trajectories(building, floor));
+  EXPECT_TRUE(std::is_sorted(listed.begin(), listed.end()));
+  EXPECT_EQ(std::adjacent_find(listed.begin(), listed.end()), listed.end());
+  EXPECT_GT(listed.size(), first.result.diagnostics.trajectories_kept);
+
+  const auto built = client.build_plan({building, floor, std::nullopt, {}});
+  EXPECT_EQ(listed.size(), built.result.diagnostics.trajectories_kept);
+  EXPECT_EQ(listed, ids_of(client.trajectories(building, floor)));
+}
+
+TEST(Api, BackgroundRefreshLosesNoUploadSubmittedMidRefresh) {
+  const auto videos = tiny_campaign(819);
+  ASSERT_GE(videos.size(), 4u);
+  const std::string building = videos.front().building;
+  const int floor = videos.front().floor;
+
+  auto config = co::PipelineConfig::fast_profile();
+  config.incremental.background_refresh = true;
+  auto client = make_client(std::move(config));
+  // Every admission schedules a background refresh, so once a corpus
+  // exists the uploads that follow land while a refresh has it on loan.
+  const std::size_t half = videos.size() / 2;
+  for (std::size_t v = 0; v < half; ++v) {
+    ASSERT_TRUE(client.submit_video(videos[v]).status.ok());
+  }
+  client.drain();
+  for (std::size_t v = half; v < videos.size(); ++v) {
+    ASSERT_TRUE(client.submit_video(videos[v]).status.ok());
+  }
+  const auto built = client.build_plan({building, floor, std::nullopt, {}});
+
+  auto cold = make_client();
+  for (const auto& video : videos) ASSERT_TRUE(cold.submit_video(video).status.ok());
+  const auto scratch = cold.build_plan({building, floor, std::nullopt, {}});
+
+  EXPECT_EQ(built.result.diagnostics.trajectories_kept,
+            scratch.result.diagnostics.trajectories_kept);
+  EXPECT_EQ(plan_bytes(built.result), plan_bytes(scratch.result));
+}
+
 TEST(Api, RepeatBuildReusesEverythingAndKeepsConfigHoisted) {
   // Regression for the per-build config/state rebuild: a second build over
   // an unchanged corpus must replay every cached stage (the planner keeps

@@ -2,12 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/mathutil.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "sim/buildings.hpp"
 #include "sim/user_sim.hpp"
 #include "trajectory/lcss.hpp"
+#include "trajectory/serialize.hpp"
 #include "trajectory/trajectory.hpp"
 
 namespace ct = crowdmap::trajectory;
@@ -137,6 +141,19 @@ cs::SensorRichVideo make_walk_video(std::uint64_t seed = 121) {
   return user.hallway_walk_between({2, 0}, {20, 0}, cs::Lighting::day());
 }
 
+/// The serialized trajectory followed by every key frame's raw gray floats
+/// (encode_trajectory quantizes the pixels).
+std::string fingerprint(const ct::Trajectory& traj) {
+  const auto bytes = ct::encode_trajectory(traj);
+  std::string out(bytes.begin(), bytes.end());
+  for (const auto& kf : traj.keyframes) {
+    const auto& pixels = kf.gray.data();
+    out.append(reinterpret_cast<const char*>(pixels.data()),
+               pixels.size() * sizeof(float));
+  }
+  return out;
+}
+
 }  // namespace
 
 TEST(Extraction, ProducesKeyframesWithDescriptors) {
@@ -153,9 +170,65 @@ TEST(Extraction, ProducesKeyframesWithDescriptors) {
 TEST(Extraction, RespectsKeyframeBudget) {
   const auto video = make_walk_video(122);
   ct::ExtractionConfig config;
-  config.max_keyframes = 6;
-  const auto traj = ct::extract_trajectory(video, config);
-  EXPECT_LE(traj.keyframes.size(), 6u);
+  config.max_keyframes = 0;  // no budget
+  const auto unbounded = ct::extract_trajectory(video, config);
+  ASSERT_GT(unbounded.keyframes.size(), 6u);
+  for (const std::size_t budget : {std::size_t{1}, std::size_t{6}}) {
+    config.max_keyframes = budget;
+    const auto traj = ct::extract_trajectory(video, config);
+    EXPECT_LE(traj.keyframes.size(), budget);
+    if (budget == 1) {
+      // A budget of one keeps exactly the first selected frame.
+      ASSERT_EQ(traj.keyframes.size(), 1u);
+      EXPECT_EQ(traj.keyframes[0].frame_index,
+                unbounded.keyframes[0].frame_index);
+    }
+  }
+}
+
+TEST(Extraction, PoolSizeDoesNotChangeTheTrajectory) {
+  const auto spec = cs::lab1();
+  const auto scene = cs::Scene::from_spec(spec, 127);
+  cs::SimOptions options;
+  options.fps = 3.0;
+  cs::UserSimulator user(scene, spec, options, cc::Rng(127));
+  std::vector<cs::SensorRichVideo> videos;
+  videos.push_back(user.hallway_walk_between({2, 0}, {20, 0}, cs::Lighting::day()));
+  videos.push_back(
+      user.hallway_walk_between({20, 0}, {2, 0}, cs::Lighting::night()));
+  videos.push_back(user.room_visit(spec.rooms[0], 4.0, cs::Lighting::day()));
+  // Every third frame washed out to a flat field, as a hard motion blur
+  // leaves it: the unqualified-data gate must drop those.
+  auto blurred = user.hallway_walk_between({2, 0}, {20, 0}, cs::Lighting::day());
+  for (std::size_t i = 0; i < blurred.frames.size(); i += 3) {
+    auto& image = blurred.frames[i].image;
+    image = crowdmap::imaging::ColorImage(image.width(), image.height(),
+                                          {0.5f, 0.5f, 0.5f});
+  }
+  videos.push_back(std::move(blurred));
+
+  cc::ThreadPool one(1);
+  cc::ThreadPool four(4);
+  for (std::size_t v = 0; v < videos.size(); ++v) {
+    const auto& video = videos[v];
+    const auto serial = ct::extract_trajectory(video);
+    ASSERT_GT(serial.keyframes.size(), 1u) << "video " << v;
+    if (v == 3) {
+      for (const auto& kf : serial.keyframes) EXPECT_NE(kf.frame_index % 3, 0u);
+    }
+    const std::string expected = fingerprint(serial);
+    EXPECT_TRUE(fingerprint(ct::extract_trajectory(video, {}, &one)) == expected)
+        << "1-worker pool, video " << v;
+    EXPECT_TRUE(fingerprint(ct::extract_trajectory(video, {}, &four)) ==
+                expected)
+        << "4-worker pool, video " << v;
+    // The pool's only worker runs the extraction itself, so no helper can
+    // start: the calling task drains both loops alone.
+    auto saturated =
+        one.submit([&video, &one] { return ct::extract_trajectory(video, {}, &one); });
+    EXPECT_TRUE(fingerprint(saturated.get()) == expected)
+        << "saturated pool, video " << v;
+  }
 }
 
 TEST(Extraction, KeyframeTimesMonotone) {

@@ -41,7 +41,8 @@ void usage() {
       "  --help-config     list every supported --config key and exit\n"
       "  --fast            fast pipeline profile (capped layout hypotheses)\n"
       "  --threads N       one backend pool per client (0 = all cores, 1 = one\n"
-      "                    extraction worker and a serial planner)\n"
+      "                    extraction worker, serial extraction and a serial\n"
+      "                    planner)\n"
       "  --nodes N         simulated cluster nodes (default 1; docs/CLUSTER.md)\n"
       "  --faults SEED:SPEC  chaos plan, e.g. 42:decode.fail=0.2,stage.panorama_fail=0.1@3\n"
       "  --storage-dir DIR durable store: recover on start, checkpoint at end\n"

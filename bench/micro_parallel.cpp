@@ -1,10 +1,8 @@
 // Parallel hot-path speedups: pairwise aggregation fan-out, sharded layout
-// scoring, one upload's extraction, and the S2 memo cache, at 1 / 2 / 4
-// threads.
+// scoring and one upload's extraction, at 1 / 2 / 4 threads.
 //
 // Emits BENCH_parallel.json lines: per-stage wall-clock at each thread count,
-// the threads=4 vs threads=1 speedup ratios, S2 cache hit statistics, and the
-// host's core count (a speedup can only materialize when the hardware has
+// the threads=4 vs threads=1 speedup ratios, and the host's core count (a speedup can only materialize when the hardware has
 // cores to spend — single-core CI runners will report ~1x by construction).
 #include <cmath>
 #include <cstddef>
@@ -15,7 +13,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/memo_cache.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "room/layout.hpp"
@@ -131,24 +128,5 @@ int main() {
   }
   bench::emit_bench_scalar(kBench, "extract_speedup_t4",
                            extract_means.front() / extract_means.back());
-
-  // ---- S2 memo cache: a second aggregation round over the same uploads is
-  // the incremental-rebuild pattern the cache exists for.
-  common::BoundedMemoCache cache(1 << 15);
-  trajectory::AggregationRuntime cached_runtime;
-  cached_runtime.s2_cache = &cache;
-  timer.restart();
-  (void)trajectory::aggregate_trajectories(walk_pool, {}, cached_runtime);
-  const double cold_seconds = timer.elapsed_seconds();
-  timer.restart();
-  (void)trajectory::aggregate_trajectories(walk_pool, {}, cached_runtime);
-  const double warm_seconds = timer.elapsed_seconds();
-  bench::emit_bench_scalar(kBench, "s2_cache_cold_seconds", cold_seconds);
-  bench::emit_bench_scalar(kBench, "s2_cache_warm_seconds", warm_seconds);
-  bench::emit_bench_scalar(kBench, "s2_cache_warm_speedup",
-                           warm_seconds > 0 ? cold_seconds / warm_seconds : 0.0);
-  const double total = static_cast<double>(cache.hits() + cache.misses());
-  bench::emit_bench_scalar(kBench, "s2_cache_hit_rate",
-                           total > 0 ? cache.hits() / total : 0.0);
   return 0;
 }

@@ -21,9 +21,10 @@
 #include "cloud/ingest.hpp"
 #include "common/fault.hpp"
 #include "common/stopwatch.hpp"
-#include "core/pipeline.hpp"
+#include "core/incremental.hpp"
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
+#include "trajectory/trajectory.hpp"
 
 namespace {
 
@@ -126,18 +127,18 @@ int main() {
       common::Stopwatch timer;
       std::vector<double> samples;
       for (int r = 0; r < kRepeats; ++r) {
-        // This benchmark times the bare stage executor on purpose — the
+        // A cold build: the first refresh of a fresh planner. The
         // api::Client path is measured separately by micro_incremental.
-        core::CrowdMapPipeline pipeline(config);
+        core::IncrementalPlanner planner(config);
         sim::generate_campaign_streaming(
-            spec, options, 0xFA0175,
-            [&pipeline](sim::SensorRichVideo&& video) {
-              pipeline.ingest(video);
+            spec, options, 0xFA0175, [&planner](sim::SensorRichVideo&& video) {
+              (void)planner.ingest(trajectory::extract_trajectory(
+                  video, planner.config().extraction));
             });
         timer.restart();
-        const auto result = pipeline.run();
+        const auto result = planner.refresh();
         samples.push_back(timer.elapsed_seconds());
-        if (result.degradation.degraded()) {
+        if (result->degradation.degraded()) {
           std::cout << "# unexpected degradation in muzzled run\n";
         }
       }

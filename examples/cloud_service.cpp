@@ -1,7 +1,7 @@
 // The client/cloud path end to end: simulated phones zip their sensor-rich
 // recordings, split them into 5 MB-style chunks and push them through the
 // ingestion service (out of order, with one corrupted upload); completed
-// uploads land in the document store and feed the reconstruction pipeline.
+// uploads land in the document store and feed the floor planner.
 //
 //   $ ./build/examples/cloud_service
 #include <cstring>
@@ -10,10 +10,11 @@
 #include "cloud/chunking.hpp"
 #include "cloud/docstore.hpp"
 #include "cloud/ingest.hpp"
-#include "core/pipeline.hpp"
+#include "core/incremental.hpp"
 #include "eval/harness.hpp"
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
+#include "trajectory/trajectory.hpp"
 
 namespace {
 
@@ -50,7 +51,7 @@ int main() {
     ++completed;
   });
 
-  core::CrowdMapPipeline pipeline(core::PipelineConfig::fast_profile());
+  core::IncrementalPlanner planner(core::PipelineConfig::fast_profile());
   common::Rng rng(0xC10D);
   std::size_t corrupted = 0;
   for (std::size_t v = 0; v < campaign.videos.size(); ++v) {
@@ -77,8 +78,11 @@ int main() {
         break;
       }
     }
-    // Accepted uploads flow into the reconstruction pipeline.
-    if (ok) pipeline.ingest(video);
+    // Accepted uploads are extracted and admitted to the floor's planner.
+    if (ok) {
+      (void)planner.ingest(trajectory::extract_trajectory(
+          video, planner.config().extraction));
+    }
   }
 
   const auto stats = ingest.stats();
@@ -92,10 +96,10 @@ int main() {
             << " floor 1\n";
 
   // --- Reconstruction over everything that survived ingestion.
-  const auto result = pipeline.run();
-  std::cout << "Pipeline: placed " << result.diagnostics.trajectories_placed
-            << "/" << result.diagnostics.trajectories_kept << " trajectories, "
-            << result.rooms.size() << " rooms reconstructed, hallway skeleton "
-            << crowdmap::eval::fmt(result.skeleton.area(), 0) << " m^2\n";
+  const auto result = planner.refresh();
+  std::cout << "Pipeline: placed " << result->diagnostics.trajectories_placed
+            << "/" << result->diagnostics.trajectories_kept << " trajectories, "
+            << result->rooms.size() << " rooms reconstructed, hallway skeleton "
+            << crowdmap::eval::fmt(result->skeleton.area(), 0) << " m^2\n";
   return 0;
 }

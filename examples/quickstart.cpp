@@ -4,10 +4,10 @@
 //   $ ./build/examples/quickstart
 //
 // Walks through the whole public API: build a world, run a crowd campaign,
-// feed the uploads to CrowdMapPipeline, evaluate against ground truth.
+// submit the uploads through api::Client to the floor planner, evaluate
+// against ground truth.
 #include <iostream>
 
-#include "core/pipeline.hpp"
 #include "eval/datasets.hpp"
 #include "eval/harness.hpp"
 
@@ -57,8 +57,7 @@ int main() {
   std::cout << "\nReconstructed floor plan (# hallway, R room):\n"
             << run.result.plan.to_ascii(90);
 
-  std::cout << "\nStage timings: extract=" << eval::fmt(d.extract_seconds, 1)
-            << "s aggregate=" << eval::fmt(d.aggregate_seconds, 1)
+  std::cout << "\nStage timings: aggregate=" << eval::fmt(d.aggregate_seconds, 1)
             << "s skeleton=" << eval::fmt(d.skeleton_seconds, 1)
             << "s rooms=" << eval::fmt(d.rooms_seconds, 1)
             << "s arrange=" << eval::fmt(d.arrange_seconds, 1) << "s\n";

@@ -27,7 +27,7 @@
 #include "api/status.hpp"
 #include "cluster/cluster.hpp"
 #include "common/annotations.hpp"
-#include "core/pipeline.hpp"
+#include "core/result.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 

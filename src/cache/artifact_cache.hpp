@@ -12,12 +12,11 @@
 // memory — never change a result. The determinism suite locks this in
 // (tests/test_determinism.cpp: incremental == cold rebuild, any threads).
 //
-// Concurrency model mirrors common::BoundedMemoCache: the key space is split
-// over independently locked shards (CM_GUARDED_BY-annotated), each bounded
-// by a byte budget with FIFO eviction. An optional FaultInjector drives the
-// faults::kArtifactCacheEvict chaos point: insertions keyed by the artifact
-// key are deterministically refused, simulating eviction under memory
-// pressure at any thread count.
+// Concurrency model: the key space is split over independently locked
+// shards (CM_GUARDED_BY-annotated), each bounded by a byte budget with FIFO
+// eviction. An optional FaultInjector drives the faults::kArtifactCacheEvict
+// chaos point: insertions keyed by the artifact key are deterministically
+// refused, simulating eviction under memory pressure at any thread count.
 #pragma once
 
 #include <atomic>

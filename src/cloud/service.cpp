@@ -46,9 +46,6 @@ CrowdMapService::CrowdMapService(core::PipelineConfig config,
   trajectories_extracted_ = &registry_->counter(
       "crowdmap_trajectories_extracted_total", {},
       "Trajectories extracted and retained");
-  trajectories_dropped_ = &registry_->counter(
-      "crowdmap_trajectories_dropped_total", {},
-      "Extracted trajectories failing the unqualified-data gates");
   sensor_dropouts_ = &registry_->counter(
       "crowdmap_sensor_dropouts_injected_total", {},
       "Uploads whose sensor tail was truncated by the chaos plan");
@@ -153,11 +150,10 @@ core::IncrementalPlanner& CrowdMapService::planner_for(const FloorKey& key) {
   common::MutexLock lock(mutex_);
   auto& slot = planners_[key];
   if (!slot) {
-    slot = std::make_unique<core::IncrementalPlanner>(config_, registry_);
-    // The shared pool doubles as the refresh pipeline's worker pool.
-    slot->set_thread_pool(fan_out_pool_);
-    // All floors share the service recorder: one black box for the backend.
-    if (flight_ != nullptr) slot->set_flight_recorder(flight_.get());
+    // Every floor builds on the shared pool and records into the service
+    // recorder: one executor and one black box for the backend.
+    slot = std::make_unique<core::IncrementalPlanner>(
+        config_, registry_, fan_out_pool_, flight_.get());
   }
   return *slot;
 }
@@ -233,10 +229,9 @@ void CrowdMapService::dispatch_extraction(const Document& doc) {
                                                fan_out_pool_);
     extract_seconds_->observe(timer.elapsed_seconds());
     const FloorKey key{doc.building, doc.floor};
-    // Admission applies the pipeline's unqualified-data gates and hashes the
+    // Admission applies the planner's unqualified-data gates and hashes the
     // content key — both on this worker thread, so refresh never pays them.
     if (!planner_for(key).ingest(std::move(traj))) {
-      trajectories_dropped_->increment();
       CROWDMAP_LOG(kInfo, "service")
           << "dropped unqualified upload " << doc.id;
       return;
@@ -255,7 +250,7 @@ core::PipelineResult CrowdMapService::build_floor_plan(
   auto result = planner_for({building, floor}).refresh(frame);
   if (watchdog_ != nullptr) watchdog_->evaluate();
   core::PipelineResult out = *result;
-  // Fold the service-side losses into the pipeline's degradation report so
+  // Fold the service-side losses into the planner's degradation report so
   // the caller sees the whole story, front door included.
   out.degradation.uploads_lost_decode = decode_failures_->value();
   out.degradation.sensor_dropouts = sensor_dropouts_->value();
@@ -391,7 +386,6 @@ ServiceStats CrowdMapService::stats() const {
   out.videos_decoded = videos_decoded_->value();
   out.decode_failures = decode_failures_->value();
   out.trajectories_extracted = trajectories_extracted_->value();
-  out.trajectories_dropped = trajectories_dropped_->value();
   out.sensor_dropouts = sensor_dropouts_->value();
   out.cache_warmstart_rejected = cache_warmstart_rejected_->value();
   out.ingest = ingest_->stats();
@@ -399,6 +393,9 @@ ServiceStats CrowdMapService::stats() const {
   {
     common::MutexLock lock(mutex_);
     for (const auto& [key, planner] : planners_) {
+      // The planners own the admission counters; the registry's
+      // crowdmap_trajectories_dropped_total is the same sum.
+      out.trajectories_dropped += planner->dropped_count();
       const cache::ArtifactCache* cache = planner->artifact_cache();
       if (cache == nullptr) continue;
       const cache::ArtifactCacheStats s = cache->stats();

@@ -18,7 +18,6 @@
 #include "common/annotations.hpp"
 #include "common/thread_pool.hpp"
 #include "core/incremental.hpp"
-#include "core/pipeline.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
@@ -42,7 +41,7 @@ struct ServiceStats {
   std::size_t videos_decoded = 0;
   std::size_t decode_failures = 0;
   std::size_t trajectories_extracted = 0;
-  std::size_t trajectories_dropped = 0;
+  std::size_t trajectories_dropped = 0;  // summed over the floor planners
   /// Injected sensor dropouts applied before extraction (chaos runs only).
   std::size_t sensor_dropouts = 0;
   /// The ingest front door's own counters (session lifecycle, chunk-level
@@ -165,7 +164,7 @@ class CrowdMapService {
 
   /// Service-level metrics: per-upload ingest/decode/extract counters, the
   /// task group's queue-depth gauge, extraction and task latency histograms,
-  /// and (shared with the planners) the pipeline's stage/cache metrics.
+  /// and (shared with the planners) the admission, stage and cache metrics.
   [[nodiscard]] obs::MetricsRegistry& metrics() const noexcept {
     return *registry_;
   }
@@ -175,7 +174,7 @@ class CrowdMapService {
   }
 
   /// The service-wide flight recorder: one set of rings behind ingest, the
-  /// task group and every floor's refresh pipelines. nullptr when
+  /// task group and every floor's planner. nullptr when
   /// config.flight.enabled == false.
   [[nodiscard]] obs::FlightRecorder* flight_recorder() noexcept {
     return flight_.get();
@@ -218,7 +217,6 @@ class CrowdMapService {
   obs::Counter* videos_decoded_ = nullptr;
   obs::Counter* decode_failures_ = nullptr;
   obs::Counter* trajectories_extracted_ = nullptr;
-  obs::Counter* trajectories_dropped_ = nullptr;
   obs::Counter* sensor_dropouts_ = nullptr;
   obs::Counter* cache_warmstart_rejected_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;
@@ -238,8 +236,8 @@ class CrowdMapService {
 
   mutable common::Mutex mutex_;
   // One incremental planner per (building, floor) — each owns that floor's
-  // corpus, artifact cache and S2 memo. The mutex and both maps are declared
-  // before tasks_ (and so destroyed after it): extraction/refresh tasks reach
+  // corpus and artifact cache. The mutex and both maps are declared before
+  // tasks_ (and so destroyed after it): extraction/refresh tasks reach
   // planner_for() until the last one returns — a service torn down with work
   // still queued (the cluster's node-crash fault) drops its queued tasks and
   // waits for its running ones before any planner goes.

@@ -23,20 +23,11 @@ struct ParallelConfig {
   /// Sizes the one backend pool of an api::Client: every node's extraction
   /// and every planner share common::resolve_thread_count(threads) workers
   /// (0 = hardware_concurrency). At 1 that pool has one extraction worker
-  /// and planners run serially on the calling thread. A bare pipeline counts
-  /// the calling thread, so it starts threads - 1 workers, and none at 1.
+  /// and planners run serially on the calling thread. A planner built
+  /// without a lent pool counts the calling thread, so it owns threads - 1
+  /// workers, and none at 1. Pairwise matching, room reconstruction and
+  /// each layout search's hypothesis scoring all fan out on that pool.
   std::size_t threads = 0;
-  /// Fan the O(N^2) pairwise trajectory matching of aggregation out over the
-  /// pool (per-pair results merge deterministically in pair order).
-  bool pairwise_matching = true;
-  /// Reconstruct rooms (panorama stitch + layout search) in parallel, and
-  /// let each layout search shard its hypothesis scoring over the same pool.
-  bool room_reconstruction = true;
-  /// Entries in the bounded S2 SURF match-score memo cache shared by every
-  /// aggregation this pipeline runs (0 disables). Hits skip the expensive
-  /// mutual-NN evaluation for key-frame pairs seen in earlier rounds or
-  /// re-runs; hit/miss totals are exported through the metrics registry.
-  std::size_t s2_cache_capacity = 1 << 15;
 };
 
 /// Incremental recomputation (docs/INCREMENTAL.md): the content-addressed
@@ -53,7 +44,7 @@ struct IncrementalConfig {
 };
 
 /// Flight recorder (docs/OBSERVABILITY.md): always-on black-box event rings
-/// behind every pipeline/service this config builds. Recording is cheap
+/// behind every planner/service this config builds. Recording is cheap
 /// (tens of ns/event, bench/micro_obs.cpp) and never changes an output bit —
 /// the determinism suite pins serialized FloorPlans recorder-on == off.
 struct FlightConfig {
@@ -159,7 +150,7 @@ struct PipelineConfig {
   /// profiles (fast_profile, latency experiments) state their cut openly
   /// instead of silently overwriting the sampled-model count.
   int layout_hypothesis_cap = 0;
-  /// Worker pool, matching fan-out and S2 memo cache settings.
+  /// Worker pool size.
   ParallelConfig parallel;
   /// SIMD dispatch switches (result-invariant; see SimdConfig).
   SimdConfig simd;
@@ -183,5 +174,16 @@ struct PipelineConfig {
   /// and a smaller panorama, same structure.
   [[nodiscard]] static PipelineConfig fast_profile();
 };
+
+inline PipelineConfig PipelineConfig::fast_profile() {
+  PipelineConfig config;
+  // The paper's 20,000-hypothesis sweep stays in config.layout; the test
+  // profile declares its 10x fidelity cut through the explicit cap instead
+  // of silently overwriting the sampled-model count.
+  config.layout_hypothesis_cap = 2000;
+  config.stitch.output_width = 512;
+  config.stitch.output_height = 128;
+  return config;
+}
 
 }  // namespace crowdmap::core

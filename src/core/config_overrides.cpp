@@ -1,14 +1,13 @@
 #include "core/config_overrides.hpp"
 
+#include <algorithm>
 #include <cstdlib>
-#include <mutex>
-#include <set>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "common/fault.hpp"
-#include "common/log.hpp"
 
 namespace crowdmap::core {
 
@@ -54,53 +53,50 @@ bool parse_bool(const std::string& key, const std::string& value) {
 }
 
 // ---------------------------------------------------------- the table ---
-// Sorted by canonical key. CM_KEY_* wrap the repetitive setter lambdas so a
+// Sorted by key. CM_KEY_* wrap the repetitive setter lambdas so a
 // row stays one readable line; the table itself is the single source the
 // apply path, --help-config and docs/CONFIG.md all share.
 
-#define CM_KEY_DOUBLE(key_str, alias_str, target, help_str)              \
-  {key_str, alias_str, "double", help_str,                               \
+#define CM_KEY_DOUBLE(key_str, target, help_str)                         \
+  {key_str, "double", help_str,                                          \
    [](PipelineConfig& c, const std::string& v) {                         \
      c.target = parse_double(key_str, v);                                \
    }}
-#define CM_KEY_INT(key_str, alias_str, target, help_str)                 \
-  {key_str, alias_str, "int", help_str,                                  \
+#define CM_KEY_INT(key_str, target, help_str)                            \
+  {key_str, "int", help_str,                                             \
    [](PipelineConfig& c, const std::string& v) {                         \
      c.target = parse_int(key_str, v);                                   \
    }}
-#define CM_KEY_SIZE(key_str, alias_str, target, help_str)                \
-  {key_str, alias_str, "size", help_str,                                 \
+#define CM_KEY_SIZE(key_str, target, help_str)                           \
+  {key_str, "size", help_str,                                            \
    [](PipelineConfig& c, const std::string& v) {                         \
      c.target = parse_size(key_str, v);                                  \
    }}
-#define CM_KEY_BOOL(key_str, alias_str, target, help_str)                \
-  {key_str, alias_str, "bool", help_str,                                 \
+#define CM_KEY_BOOL(key_str, target, help_str)                           \
+  {key_str, "bool", help_str,                                            \
    [](PipelineConfig& c, const std::string& v) {                         \
      c.target = parse_bool(key_str, v);                                  \
    }}
 
 constexpr ConfigKeyInfo kConfigKeys[] = {
-    CM_KEY_SIZE("cache.artifact_bytes", nullptr,
-                incremental.artifact_cache_bytes,
+    CM_KEY_SIZE("cache.artifact_bytes", incremental.artifact_cache_bytes,
                 "Artifact-cache byte budget per floor (0 disables reuse)"),
-    CM_KEY_BOOL("cache.background_refresh", nullptr,
-                incremental.background_refresh,
+    CM_KEY_BOOL("cache.background_refresh", incremental.background_refresh,
                 "Refresh plans on the worker pool as uploads land"),
-    CM_KEY_SIZE("cluster.max_node_queue", nullptr, cluster.max_node_queue,
+    CM_KEY_SIZE("cluster.max_node_queue", cluster.max_node_queue,
                 "Shed uploads when a node's worker queue exceeds this (0 off)"),
-    CM_KEY_SIZE("cluster.nodes", nullptr, cluster.nodes,
+    CM_KEY_SIZE("cluster.nodes", cluster.nodes,
                 "In-process cluster nodes behind the api::v2 client"),
-    CM_KEY_BOOL("cluster.rebalance", nullptr, cluster.rebalance,
+    CM_KEY_BOOL("cluster.rebalance", cluster.rebalance,
                 "Eagerly re-replicate shard logs on node join/leave"),
-    CM_KEY_SIZE("cluster.replication_factor", "cluster.replicas",
-                cluster.replication_factor,
+    CM_KEY_SIZE("cluster.replication_factor", cluster.replication_factor,
                 "Replication-log copies per shard (clamped to node count)"),
-    {"faults.seed", nullptr, "int",
+    {"faults.seed", "int",
      "Seed keying every chaos-plan fire decision",
      [](PipelineConfig& c, const std::string& v) {
        c.faults.seed = static_cast<std::uint64_t>(parse_int("faults.seed", v));
      }},
-    {"faults.spec", nullptr, "string",
+    {"faults.spec", "string",
      "Chaos plan, e.g. decode.fail=0.2,stage.panorama_fail=0.1@3",
      [](PipelineConfig& c, const std::string& v) {
        auto settings = common::parse_fault_settings(v);
@@ -110,77 +106,71 @@ constexpr ConfigKeyInfo kConfigKeys[] = {
        }
        c.faults.settings = std::move(settings).take();
      }},
-    CM_KEY_SIZE("filter.min_keyframes", nullptr, min_keyframes,
+    CM_KEY_SIZE("filter.min_keyframes", min_keyframes,
                 "Unqualified-data gate: minimum key-frames per upload"),
-    CM_KEY_BOOL("flight.dump_on_anomaly", nullptr, flight.dump_on_anomaly,
+    CM_KEY_BOOL("flight.dump_on_anomaly", flight.dump_on_anomaly,
                 "Auto-dump flight rings on fault/degradation/SLO breach"),
-    CM_KEY_BOOL("flight.enabled", nullptr, flight.enabled,
+    CM_KEY_BOOL("flight.enabled", flight.enabled,
                 "Arm the flight recorder (black-box event rings)"),
-    CM_KEY_SIZE("flight.ring_capacity", nullptr, flight.ring_capacity,
+    CM_KEY_SIZE("flight.ring_capacity", flight.ring_capacity,
                 "Flight-recorder events retained per thread"),
-    CM_KEY_DOUBLE("grid.brush_width", nullptr, trajectory_brush_width,
+    CM_KEY_DOUBLE("grid.brush_width", trajectory_brush_width,
                   "Occupancy brush width in meters per trajectory stroke"),
-    CM_KEY_DOUBLE("grid.cell_size", nullptr, grid_cell_size,
+    CM_KEY_DOUBLE("grid.cell_size", grid_cell_size,
                   "Occupancy-grid cell size in meters"),
-    CM_KEY_DOUBLE("layout.corner_weight", nullptr, layout.corner_weight,
+    CM_KEY_DOUBLE("layout.corner_weight", layout.corner_weight,
                   "Corner-term weight in room-layout scoring"),
-    CM_KEY_INT("layout.hypotheses", nullptr, layout.hypotheses,
+    CM_KEY_INT("layout.hypotheses", layout.hypotheses,
                "Room-layout hypotheses sampled per panorama"),
-    CM_KEY_INT("layout.hypothesis_cap", nullptr, layout_hypothesis_cap,
+    CM_KEY_INT("layout.hypothesis_cap", layout_hypothesis_cap,
                "Global cap on layout hypotheses (fast profile)"),
-    CM_KEY_INT("layout.scoring_shards", "layout.shards", layout.scoring_shards,
+    CM_KEY_INT("layout.scoring_shards", layout.scoring_shards,
                "Deterministic parallel shards for hypothesis scoring"),
-    CM_KEY_INT("lcss.delta", nullptr, aggregation.match.lcss.delta,
+    CM_KEY_INT("lcss.delta", aggregation.match.lcss.delta,
                "LCSS index window for trajectory similarity"),
-    CM_KEY_DOUBLE("lcss.epsilon", nullptr, aggregation.match.lcss.epsilon,
+    CM_KEY_DOUBLE("lcss.epsilon", aggregation.match.lcss.epsilon,
                   "LCSS distance tolerance in meters"),
-    CM_KEY_DOUBLE("match.h_d", nullptr, aggregation.match.h_d,
+    CM_KEY_DOUBLE("match.h_d", aggregation.match.h_d,
                   "S2 descriptor-distance gate for key-frame matches"),
-    CM_KEY_DOUBLE("match.h_f", nullptr, aggregation.match.h_f,
+    CM_KEY_DOUBLE("match.h_f", aggregation.match.h_f,
                   "Fraction of consistent anchors required per pair"),
-    CM_KEY_DOUBLE("match.h_l", nullptr, aggregation.match.h_l,
+    CM_KEY_DOUBLE("match.h_l", aggregation.match.h_l,
                   "LCSS similarity gate for accepting a pair"),
-    CM_KEY_DOUBLE("match.h_s", nullptr, aggregation.match.h_s,
+    CM_KEY_DOUBLE("match.h_s", aggregation.match.h_s,
                   "S1 appearance-similarity gate for candidate pairs"),
-    CM_KEY_DOUBLE("match.nn_ratio", nullptr, aggregation.match.nn_ratio,
+    CM_KEY_DOUBLE("match.nn_ratio", aggregation.match.nn_ratio,
                   "Lowe nearest-neighbor ratio for descriptor matches"),
-    CM_KEY_SIZE("parallel.s2_cache_capacity", "parallel.s2_cache",
-                parallel.s2_cache_capacity,
-                "Bounded S2 match-score memo entries (0 disables)"),
-    CM_KEY_SIZE("parallel.threads", nullptr, parallel.threads,
+    CM_KEY_SIZE("parallel.threads", parallel.threads,
                 "One backend pool per client (0 = all cores, 1 = one "
                 "extraction worker, serial extraction and a serial planner)"),
-    CM_KEY_BOOL("simd.force_scalar", nullptr, simd.force_scalar,
+    CM_KEY_BOOL("simd.force_scalar", simd.force_scalar,
                 "Route SIMD kernels through the scalar reference path"),
-    CM_KEY_SIZE("simd.match_tile", nullptr, simd.match_tile,
+    CM_KEY_SIZE("simd.match_tile", simd.match_tile,
                 "SoA matcher candidate tile (multiple of 8, clamped to [8,256])"),
-    CM_KEY_DOUBLE("skeleton.alpha", nullptr, skeleton.alpha,
+    CM_KEY_DOUBLE("skeleton.alpha", skeleton.alpha,
                   "Alpha-shape radius for hallway boundary extraction"),
-    CM_KEY_INT("skeleton.final_dilate_cells", "skeleton.dilate",
-               skeleton.final_dilate_cells,
+    CM_KEY_INT("skeleton.final_dilate_cells", skeleton.final_dilate_cells,
                "Dilation (cells) applied to the final skeleton raster"),
-    CM_KEY_DOUBLE("skeleton.min_access_count", nullptr,
-                  skeleton.min_access_count,
+    CM_KEY_DOUBLE("skeleton.min_access_count", skeleton.min_access_count,
                   "Occupancy evidence required to keep a skeleton cell"),
-    CM_KEY_DOUBLE("slo.extract_p99_ms", nullptr, slo.extract_p99_ms,
+    CM_KEY_DOUBLE("slo.extract_p99_ms", slo.extract_p99_ms,
                   "SLO: p99 upload-extraction latency ceiling in ms (0 off)"),
-    CM_KEY_INT("slo.ingest_queue_depth_max", nullptr,
-               slo.ingest_queue_depth_max,
+    CM_KEY_INT("slo.ingest_queue_depth_max", slo.ingest_queue_depth_max,
                "SLO: worker-queue depth ceiling in tasks (0 off)"),
-    CM_KEY_DOUBLE("slo.plan_refresh_p99_ms", nullptr, slo.plan_refresh_p99_ms,
+    CM_KEY_DOUBLE("slo.plan_refresh_p99_ms", slo.plan_refresh_p99_ms,
                   "SLO: p99 plan-refresh latency ceiling in ms (0 off)"),
-    CM_KEY_INT("stitch.height", nullptr, stitch.output_height,
+    CM_KEY_INT("stitch.height", stitch.output_height,
                "Panorama height in pixels"),
-    CM_KEY_INT("stitch.width", nullptr, stitch.output_width,
+    CM_KEY_INT("stitch.width", stitch.output_width,
                "Panorama width in pixels"),
-    {"storage.dir", nullptr, "string",
+    {"storage.dir", "string",
      "Durable store directory (empty disables persistence)",
      [](PipelineConfig& c, const std::string& v) { c.storage.dir = v; }},
-    CM_KEY_BOOL("storage.fsync", nullptr, storage.fsync,
+    CM_KEY_BOOL("storage.fsync", storage.fsync,
                 "fsync every WAL append and manifest/snapshot install"),
-    CM_KEY_SIZE("storage.segment_bytes", nullptr, storage.segment_bytes,
+    CM_KEY_SIZE("storage.segment_bytes", storage.segment_bytes,
                 "WAL segment rotation threshold in bytes"),
-    CM_KEY_SIZE("storage.snapshot_every", nullptr, storage.snapshot_every,
+    CM_KEY_SIZE("storage.snapshot_every", storage.snapshot_every,
                 "Auto-checkpoint every N WAL appends (0 = manual only)"),
 };
 
@@ -188,32 +178,6 @@ constexpr ConfigKeyInfo kConfigKeys[] = {
 #undef CM_KEY_INT
 #undef CM_KEY_SIZE
 #undef CM_KEY_BOOL
-
-const ConfigKeyInfo* find_binding(const std::string& key, bool* via_alias) {
-  for (const ConfigKeyInfo& info : kConfigKeys) {
-    if (key == info.key) {
-      *via_alias = false;
-      return &info;
-    }
-    if (info.alias != nullptr && key == info.alias) {
-      *via_alias = true;
-      return &info;
-    }
-  }
-  return nullptr;
-}
-
-void warn_deprecated_once(const std::string& alias, const char* canonical) {
-  static std::mutex mutex;
-  static std::set<std::string> warned;
-  {
-    const std::lock_guard<std::mutex> lock(mutex);
-    if (!warned.insert(alias).second) return;
-  }
-  CROWDMAP_LOG(kWarn, "config")
-      << "config key '" << alias << "' is deprecated; use '" << canonical
-      << "'";
-}
 
 }  // namespace
 
@@ -230,11 +194,7 @@ std::string config_key_help() {
          pad < 40; ++pad) {
       out << ' ';
     }
-    out << info.help;
-    if (info.alias != nullptr) {
-      out << " [deprecated alias: " << info.alias << "]";
-    }
-    out << '\n';
+    out << info.help << '\n';
   }
   return out.str();
 }
@@ -242,18 +202,11 @@ std::string config_key_help() {
 void apply_config_overrides(PipelineConfig& config,
                             const common::ConfigFile& file) {
   for (const auto& [key, value] : file.entries()) {
-    bool via_alias = false;
-    const ConfigKeyInfo* info = find_binding(key, &via_alias);
-    if (info == nullptr) {
+    const auto* info = std::find_if(
+        std::begin(kConfigKeys), std::end(kConfigKeys),
+        [&key](const ConfigKeyInfo& row) { return key == row.key; });
+    if (info == std::end(kConfigKeys)) {
       throw std::runtime_error("unknown config key: " + key);
-    }
-    if (via_alias) {
-      if (file.has(info->key)) {
-        throw std::runtime_error("config key '" + std::string(info->key) +
-                                 "' also given through deprecated alias '" +
-                                 key + "'");
-      }
-      warn_deprecated_once(key, info->key);
     }
     info->apply(config, value);
   }

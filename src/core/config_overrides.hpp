@@ -14,29 +14,26 @@
 
 namespace crowdmap::core {
 
-/// One bindable key: canonical spelling, optional deprecated alias, value
-/// type, one-line help, and the setter. The table is ordered by key.
+/// One bindable key: its spelling, value type, one-line help, and the
+/// setter. The table is ordered by key.
 struct ConfigKeyInfo {
-  const char* key;    // canonical spelling ("layout.scoring_shards")
-  const char* alias;  // deprecated spelling still accepted, or nullptr
+  const char* key;    // "layout.scoring_shards"
   const char* type;   // "double" | "int" | "size" | "bool" | "string"
   const char* help;   // one line, shown by --help-config and docs/CONFIG.md
   void (*apply)(PipelineConfig& config, const std::string& value);
 };
 
-/// Every supported key, sorted by canonical name.
+/// Every supported key, sorted by name.
 [[nodiscard]] std::span<const ConfigKeyInfo> config_key_table() noexcept;
 
 /// Human-readable listing of config_key_table() — one "key (type)  help"
-/// line per key, with deprecated aliases noted. The CLI prints this for
-/// --help-config; docs/CONFIG.md mirrors it (tests/test_config.cpp pins the
+/// line per key. The CLI prints this for --help-config; docs/CONFIG.md mirrors it (tests/test_config.cpp pins the
 /// two together).
 [[nodiscard]] std::string config_key_help();
 
-/// Applies overrides in `file` to `config`. Keys are the canonical names in
-/// config_key_table(); deprecated aliases are accepted with a once-per-alias
-/// warning. Throws std::runtime_error on an unknown key, an unparsable
-/// value, or a key given through both its canonical and alias spellings.
+/// Applies overrides in `file` to `config`. Keys are the names in
+/// config_key_table(). Throws std::runtime_error on an unknown key or an
+/// unparsable value.
 void apply_config_overrides(PipelineConfig& config,
                             const common::ConfigFile& file);
 

@@ -1,67 +1,60 @@
-// IncrementalPlanner — the dependency-tracked scheduler that makes per-upload
-// refresh cost O(delta) instead of O(corpus) (docs/INCREMENTAL.md). It models
-// the pipeline as the stage DAG
+// IncrementalPlanner — the floor planner (paper §III.B–D over one floor's
+// accumulated corpus; docs/INCREMENTAL.md). It owns, for its whole life,
+// everything a floor's builds share: the extracted corpus (hashed once at
+// admission), the content-addressed ArtifactCache, the flight recorder, the
+// metrics and the worker pool. Each refresh() runs the four stages
 //
-//   decode -> extract -> aggregate -> skeleton -> rooms -> arrange
+//   aggregate -> skeleton -> rooms -> arrange
 //
-// and owns what must persist *between* refreshes for incrementality to pay:
-// the extracted corpus (hashed once at admission), the content-addressed
-// ArtifactCache, and the S2 memo cache. ingest() appends to an inbox; each
-// refresh() folds the inbox into the corpus (kept sorted by video_id) and
-// lends the corpus by move to a fresh CrowdMapPipeline with those caches
-// attached, taking it back when the run ends — the corpus is never copied.
-// Stages whose input set did not change resolve to the same artifact keys
-// and replay from the cache; only work downstream of the new upload
-// recomputes. Because reuse is keyed on content, invalidation is implicit —
-// there is no out-of-date bit to get wrong, and the refreshed plan is
-// byte-identical to a cold rebuild at any thread count
-// (tests/test_determinism.cpp).
+// over that corpus; a cold build is simply the first refresh. ingest()
+// appends to an inbox, and refresh() folds the inbox into the corpus (kept
+// sorted by video_id) before it runs. Stages whose input set did not change
+// resolve to the same artifact keys and replay from the cache; only work
+// downstream of the new upload recomputes. Because reuse is keyed on
+// content, invalidation is implicit — there is no out-of-date bit to get
+// wrong, and the refreshed plan is byte-identical to a cold build at any
+// thread count (tests/test_determinism.cpp).
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "cache/artifact_cache.hpp"
 #include "common/annotations.hpp"
 #include "common/fault.hpp"
-#include "common/memo_cache.hpp"
 #include "common/thread_pool.hpp"
-#include "core/pipeline.hpp"
+#include "core/result.hpp"
 #include "obs/flight.hpp"
+#include "obs/metrics.hpp"
 
 namespace crowdmap::core {
 
-/// One node of the stage DAG (documentation/tooling view; the dependency
-/// edges are what justify each seam's key preimage).
-struct StageInfo {
-  const char* name;      // stage span name
-  const char* inputs;    // upstream dependencies, comma-separated
-  const char* artifact;  // cached artifact family, "-" where always live
-};
-
-/// The pipeline's stage DAG in execution order.
-[[nodiscard]] std::span<const StageInfo> stage_dag() noexcept;
-
-/// Thread-safe incremental floor-plan planner for one floor's corpus.
-/// ingest() may be called concurrently (the service's extraction workers
-/// do); refresh() calls are serialized internally, so a background refresh
-/// and a foreground build cannot interleave mid-pipeline.
+/// Thread-safe floor planner for one floor's corpus. ingest() may be called
+/// concurrently (the service's extraction workers do); refresh() calls are
+/// serialized internally, so a background refresh and a foreground build
+/// cannot interleave mid-build.
 class IncrementalPlanner {
  public:
   /// `registry` defaults to a fresh registry; pass the service's shared one
-  /// to fold refresh metrics into its exports. Cache sizing and background
-  /// behavior come from `config.incremental`.
+  /// to fold the planner's metrics into its exports. `pool` is lent (not
+  /// owned; must outlive the planner); without one the planner owns a pool
+  /// of resolve_thread_count(config.parallel.threads) - 1 workers (it counts
+  /// the calling thread, so none at 1). `flight` is lent likewise; without
+  /// one the planner owns a recorder when config.flight.enabled. Cache
+  /// sizing comes from `config.incremental`.
   explicit IncrementalPlanner(
       PipelineConfig config,
-      std::shared_ptr<obs::MetricsRegistry> registry = nullptr);
+      std::shared_ptr<obs::MetricsRegistry> registry = nullptr,
+      common::ThreadPool* pool = nullptr,
+      obs::FlightRecorder* flight = nullptr);
 
   IncrementalPlanner(const IncrementalPlanner&) = delete;
   IncrementalPlanner& operator=(const IncrementalPlanner&) = delete;
 
-  /// Admits one extracted trajectory: applies the pipeline's quality gates,
+  /// Admits one extracted trajectory: applies the unqualified-data gates,
   /// hashes the content key (outside any lock — safe to call from worker
   /// threads, and while a refresh runs) and appends to the inbox the next
   /// refresh folds into the corpus. Idempotent by video_id — a re-submitted
@@ -70,7 +63,7 @@ class IncrementalPlanner {
   /// upload.
   bool ingest(trajectory::Trajectory traj) CM_EXCLUDES(mutex_);
 
-  /// Folds the inbox into the corpus and rebuilds the floor plan over it,
+  /// Folds the inbox into the corpus and builds the floor plan over it,
   /// reusing every artifact whose inputs did not change. Serialized against
   /// concurrent refreshes. The result is retained (latest()) and returned.
   std::shared_ptr<const PipelineResult> refresh(
@@ -87,14 +80,14 @@ class IncrementalPlanner {
 
   /// Kept trajectories — the corpus plus the inbox, an inbox entry winning
   /// over a corpus entry with the same video_id — sorted by video_id (the
-  /// refresh ingest order). Waits for a running refresh, which has the
-  /// corpus on loan.
+  /// order the stages read them in). Waits for a running refresh.
   [[nodiscard]] std::vector<trajectory::Trajectory> trajectories() const
       CM_EXCLUDES(mutex_, refresh_mutex_);
 
-  /// Lends a worker pool to each refresh pipeline (not owned; nullptr
-  /// returns to config-driven pools).
-  void set_thread_pool(common::ThreadPool* pool) noexcept { pool_ = pool; }
+  /// Uploads the unqualified-data gates rejected so far.
+  [[nodiscard]] std::size_t dropped_count() const noexcept {
+    return dropped_.load(std::memory_order_relaxed);
+  }
 
   /// The artifact cache, e.g. for persistence export; nullptr when
   /// config.incremental.artifact_cache_bytes == 0 (caching disabled).
@@ -102,22 +95,17 @@ class IncrementalPlanner {
     return cache_.get();
   }
 
-  /// Lends an external flight recorder (not owned; nullptr reverts to the
-  /// planner's own). The service passes its recorder here so every floor's
-  /// refreshes land in one set of rings.
-  void set_flight_recorder(obs::FlightRecorder* flight) noexcept {
-    external_flight_ = flight;
+  /// The recorder every refresh records into: the lent one, else the
+  /// planner-lifetime recorder (a black box spanning refreshes, unlike the
+  /// per-refresh trace); nullptr when config.flight.enabled == false and
+  /// none was lent.
+  [[nodiscard]] obs::FlightRecorder* flight_recorder() const noexcept {
+    return flight_;
   }
 
-  /// The recorder every refresh pipeline records into: the lent one when
-  /// set, else the planner-lifetime recorder (a black box spanning
-  /// refreshes, unlike the per-run Trace); nullptr when
-  /// config.flight.enabled == false and none was lent.
-  [[nodiscard]] obs::FlightRecorder* flight_recorder() noexcept {
-    return external_flight_ != nullptr ? external_flight_ : flight_.get();
+  [[nodiscard]] const PipelineConfig& config() const noexcept {
+    return config_;
   }
-
-  [[nodiscard]] const PipelineConfig& config() const noexcept { return config_; }
   [[nodiscard]] const std::shared_ptr<obs::MetricsRegistry>& metrics_registry()
       const noexcept {
     return registry_;
@@ -126,23 +114,37 @@ class IncrementalPlanner {
  private:
   PipelineConfig config_;
   std::shared_ptr<obs::MetricsRegistry> registry_;
+  std::unique_ptr<common::ThreadPool> owned_pool_;
+  common::ThreadPool* pool_ = nullptr;  // lent or owned_pool_; null = serial
+  std::unique_ptr<obs::FlightRecorder> owned_flight_;
+  obs::FlightRecorder* flight_ = nullptr;  // lent or owned_flight_
   std::unique_ptr<cache::ArtifactCache> cache_;
-  std::unique_ptr<obs::FlightRecorder> flight_;
-  obs::FlightRecorder* external_flight_ = nullptr;
-  obs::Histogram* refresh_hist_ = nullptr;  // owned by registry_
-  std::unique_ptr<common::BoundedMemoCache> s2_cache_;
   common::FaultInjector cache_faults_;  // drives kArtifactCacheEvict
-  common::ThreadPool* pool_ = nullptr;
+
+  // Registry handles (owned by registry_). Admission counts are bumped in
+  // ingest(); build counts once per refresh from that refresh's own tally.
+  obs::Counter* videos_ingested_ = nullptr;
+  obs::Counter* trajectories_kept_ = nullptr;
+  obs::Counter* trajectories_dropped_ = nullptr;
+  obs::Counter* trajectories_placed_ = nullptr;
+  obs::Counter* match_edges_ = nullptr;
+  obs::Counter* panoramas_attempted_ = nullptr;
+  obs::Counter* panoramas_stitched_ = nullptr;
+  obs::Counter* rooms_reconstructed_ = nullptr;
+  obs::Counter* stages_degraded_ = nullptr;
+  obs::Histogram* refresh_hist_ = nullptr;
+  std::atomic<std::size_t> dropped_{0};
 
   /// An admitted trajectory and its content key.
   using Entry = std::pair<trajectory::Trajectory, cache::ArtifactKey>;
 
-  /// Serializes refresh() bodies (held across the whole pipeline run, so it
-  /// must never nest inside mutex_).
+  /// Serializes refresh() bodies (held across the whole build, so it must
+  /// never nest inside mutex_).
   mutable common::Mutex refresh_mutex_;
-  /// Admitted trajectories sorted by video_id, one per id. refresh() lends
-  /// them to its pipeline, so only the refresh_mutex_ holder may touch them.
-  std::vector<Entry> corpus_ CM_GUARDED_BY(refresh_mutex_);
+  /// Admitted trajectories sorted by video_id, one per id, and their
+  /// content keys index for index — what the stages read.
+  std::vector<trajectory::Trajectory> corpus_ CM_GUARDED_BY(refresh_mutex_);
+  std::vector<cache::ArtifactKey> corpus_keys_ CM_GUARDED_BY(refresh_mutex_);
 
   mutable common::Mutex mutex_;
   /// Admissions since the last refresh, one per video_id, in arrival order.

@@ -1,4 +1,4 @@
-// Cache keying and payload codecs for the pipeline's artifact seams
+// Cache keying and payload codecs for the planner's artifact seams
 // (docs/INCREMENTAL.md). Each cacheable stage gets two things here:
 //
 //   * a key builder hashing the stage's *complete* input set — the content
@@ -63,8 +63,8 @@ inline constexpr std::uint64_t kArtifactSchemaVersion = 1;
 
 /// Cached outcome of one panorama candidate: stitch + layout estimation, up
 /// to but excluding placement (placement depends on the aggregation poses
-/// and is cheap, so it stays live). The flags replay the pipeline's
-/// panoramas_attempted / panoramas_stitched counters exactly.
+/// and is cheap, so it stays live). The flags replay the live path's
+/// panoramas_stitched tally and layout outcome exactly.
 struct RoomArtifact {
   bool stitched = false;    // panorama coverage cleared the 0.95 gate
   bool has_layout = false;  // estimate_layout returned a value

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "cloud/durable_store.hpp"
-#include "core/pipeline.hpp"
+#include "core/result.hpp"
 #include "eval/datasets.hpp"
 #include "floorplan/eval.hpp"
 #include "geometry/raster.hpp"

@@ -106,8 +106,8 @@ void generate_campaign_streaming(
     }
     video.user_id = static_cast<int>(task.user);
     // Campaign-wide upload ids: each simulator numbers its own videos from
-    // 0, which would collide across users; the cloud side (and the S2 memo
-    // cache) relies on upload identity being unique.
+    // 0, which would collide across users; the cloud side relies on upload
+    // identity being unique.
     video.video_id = static_cast<int>(video_id);
     if (options.adversarial.enabled()) {
       apply_adversarial(video, options.adversarial,

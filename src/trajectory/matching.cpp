@@ -1,44 +1,15 @@
 #include "trajectory/matching.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/mathutil.hpp"
-#include "common/rng.hpp"
 #include "vision/matcher.hpp"
 
 namespace crowdmap::trajectory {
 
-std::uint64_t s2_cache_key(const Trajectory& a, std::size_t kf_a,
-                           const Trajectory& b, std::size_t kf_b,
-                           const MatchConfig& config) noexcept {
-  using common::hash_combine;
-  using common::hash_u64;
-  // Each side packs (video_id, frame_index) injectively before mixing. A
-  // hash_combine of the two raw small integers is NOT safe here: its (a<<6)
-  // term steps by 64 per video_id, which a ~64-frame frame_index shift plus
-  // the low-bit XOR of adjacent ids can cancel, aliasing e.g. (v12, f79)
-  // with (v13, f14) — and a key collision silently replays the wrong score.
-  const auto side = [](int video_id, std::size_t frame_index) {
-    const std::uint64_t packed =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(video_id))
-         << 32) |
-        (static_cast<std::uint64_t>(frame_index) & 0xffffffffULL);
-    return hash_u64(packed);
-  };
-  const std::uint64_t side_a = side(a.video_id, a.keyframes[kf_a].frame_index);
-  const std::uint64_t side_b = side(b.video_id, b.keyframes[kf_b].frame_index);
-  // Fold in the thresholds so a config change can never replay stale scores.
-  const std::uint64_t params =
-      hash_combine(std::bit_cast<std::uint64_t>(config.h_d),
-                   std::bit_cast<std::uint64_t>(config.nn_ratio));
-  return hash_combine(hash_combine(side_a, side_b), params);
-}
-
 std::vector<FrameAnchor> find_anchors(const Trajectory& a, const Trajectory& b,
-                                      const MatchConfig& config,
-                                      common::BoundedMemoCache* s2_cache) {
+                                      const MatchConfig& config) {
   // Stage 1: cheap descriptor combination on every key-frame pair; prevents
   // wrong aggregation and gates the expensive SURF match.
   struct Gated {
@@ -66,15 +37,9 @@ std::vector<FrameAnchor> find_anchors(const Trajectory& a, const Trajectory& b,
       break;
     }
     ++evaluations;
-    auto evaluate = [&] {
-      return vision::match_score_s2(a.keyframes[g.i].surf,
-                                    b.keyframes[g.j].surf, config.h_d,
-                                    config.nn_ratio);
-    };
-    const double s2 =
-        s2_cache ? s2_cache->get_or_compute(
-                       s2_cache_key(a, g.i, b, g.j, config), evaluate)
-                 : evaluate();
+    const double s2 = vision::match_score_s2(a.keyframes[g.i].surf,
+                                             b.keyframes[g.j].surf, config.h_d,
+                                             config.nn_ratio);
     if (s2 < config.h_f) continue;
     anchors.push_back({g.i, g.j, g.s1, s2});
   }
@@ -119,9 +84,8 @@ namespace {
 
 std::optional<PairMatch> match_trajectories(const Trajectory& a,
                                             const Trajectory& b,
-                                            const MatchConfig& config,
-                                            common::BoundedMemoCache* s2_cache) {
-  auto anchors = find_anchors(a, b, config, s2_cache);
+                                            const MatchConfig& config) {
+  auto anchors = find_anchors(a, b, config);
   if (anchors.empty()) return std::nullopt;
   // Strongest anchors first; cap the candidate set.
   std::sort(anchors.begin(), anchors.end(),
@@ -205,9 +169,8 @@ std::optional<PairMatch> match_trajectories(const Trajectory& a,
 
 std::optional<PairMatch> match_single_image(const Trajectory& a,
                                             const Trajectory& b,
-                                            const MatchConfig& config,
-                                            common::BoundedMemoCache* s2_cache) {
-  auto anchors = find_anchors(a, b, config, s2_cache);
+                                            const MatchConfig& config) {
+  auto anchors = find_anchors(a, b, config);
   if (anchors.empty()) return std::nullopt;
   const auto best = std::max_element(
       anchors.begin(), anchors.end(),

@@ -10,7 +10,7 @@
 #include <span>
 #include <vector>
 
-#include "trajectory/incremental.hpp"
+#include "trajectory/aggregate.hpp"
 #include "trajectory/trajectory.hpp"
 #include "wifi/model.hpp"
 

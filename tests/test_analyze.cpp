@@ -576,32 +576,18 @@ const std::vector<SiteCase> kSiteCases = {
     {"HeaderWithPragmaOncePasses", "src/a.hpp", "// doc\n#pragma once\nstruct S {};\n",
      {{"pragma-once", {}}}},
     {"SourceFilesDoNotNeedPragmaOnce", "src/a.cpp", "int x;\n", {{"pragma-once", {}}}},
-    {"FaultPointNameFiresOnFromNameParse", "src/core/pipeline.cpp",
+    {"FaultPointNameFiresOnFromNameParse", "src/core/incremental.cpp",
      "auto p = common::fault_point_from_name(spec);\n", {{"fault-point-name", {1}}}},
     {"FaultPointNameFiresOnIntegerCast", "src/cloud/service.cpp",
      "auto p = static_cast<common::FaultPoint>(i);\n", {{"fault-point-name", {1}}}},
-    {"FaultPointNameFiresOnBraceInit", "src/core/pipeline.cpp",
+    {"FaultPointNameFiresOnBraceInit", "src/core/incremental.cpp",
      "const auto p = common::FaultPoint{3};\n", {{"fault-point-name", {1}}}},
     {"FaultPointNameExemptInsideFaultSources", "src/common/fault.cpp",
      "auto p = static_cast<FaultPoint>(index);\n", {{"fault-point-name", {}}}},
-    {"FaultPointNamedConstantsPass", "src/core/pipeline.cpp",
+    {"FaultPointNamedConstantsPass", "src/core/incremental.cpp",
      "faults_.should_fire(common::faults::kDecodeFail, key);\n"
      "for (const auto point : common::all_fault_points()) use(point);\n",
      {{"", {}}}},
-    {"PipelineConstructionFiresOutsideSrc_ByValue", "tests/test_core.cpp",
-     "co::CrowdMapPipeline pipeline(config);\n", {{"pipeline-construction", {1}}}},
-    {"PipelineConstructionFiresOutsideSrc_MakeUnique", "bench/micro.cpp",
-     "auto p = std::make_unique<core::CrowdMapPipeline>(c);\n",
-     {{"pipeline-construction", {1}}}},
-    {"PipelineConstructionFiresOutsideSrc_New", "examples/demo.cpp",
-     "auto* p = new core::CrowdMapPipeline(c);\n", {{"pipeline-construction", {1}}}},
-    {"PipelineConstructionAllowedInsideSrc", "src/core/incremental.cpp",
-     "CrowdMapPipeline pipeline(config_, registry_);\n",
-     {{"pipeline-construction", {}}}},
-    {"PipelineReferencesAndMentionsPass", "tests/test_x.cpp",
-     "// CrowdMapPipeline is internal; go through the api\n"
-     "void drive(core::CrowdMapPipeline& pipeline);\n",
-     {{"pipeline-construction", {}}}},
     // histogram() takes its buckets before the help.
     {"MetricHelpFiresOnMissingHelp", "src/cloud/x.cpp",
      "auto& c = registry.counter(\"crowdmap_x_total\", {});\n"
@@ -773,7 +759,7 @@ TEST(AnalyzeSarif, MinimalShape) {
 
 TEST(AnalyzeCatalog, RulesAndLayersExposed) {
   const auto& catalog = an::rule_catalog();
-  EXPECT_EQ(catalog.size(), 17u);
+  EXPECT_EQ(catalog.size(), 16u);
   EXPECT_FALSE(an::layer_table().empty());
   EXPECT_EQ(an::layer_table().front().module, "api");
   EXPECT_EQ(an::layer_table().back().module, "common");

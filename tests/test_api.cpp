@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <barrier>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/v2.hpp"
@@ -214,8 +216,8 @@ TEST(Api, BackgroundRefreshLosesNoUploadSubmittedMidRefresh) {
 TEST(Api, RepeatBuildReusesEverythingAndKeepsConfigHoisted) {
   // Regression for the per-build config/state rebuild: a second build over
   // an unchanged corpus must replay every cached stage (the planner keeps
-  // the artifact cache, S2 memo and hashed corpus across refreshes) and
-  // still return the same bytes.
+  // the artifact cache and hashed corpus across refreshes) and still return
+  // the same bytes.
   const auto videos = tiny_campaign(812);
   const std::string building = videos.front().building;
   const int floor = videos.front().floor;
@@ -232,8 +234,6 @@ TEST(Api, RepeatBuildReusesEverythingAndKeepsConfigHoisted) {
   EXPECT_TRUE(second.cache.skeleton_reused);
   EXPECT_TRUE(second.cache.arrange_reused);
   EXPECT_EQ(second.cache.artifact_misses, 0u);
-  // The S2 memo also persists across refreshes now that the planner owns it.
-  EXPECT_EQ(second.result.diagnostics.s2_cache_misses, 0u);
 }
 
 TEST(Api, PersistedCacheWarmsARestartedBackend) {
@@ -357,4 +357,101 @@ TEST(Api, DisabledCacheStillBuildsIdenticalPlans) {
   EXPECT_EQ(plan_bytes(warm.result), plan_bytes(plain.result));
   EXPECT_EQ(uncached.stats().artifact_cache.hits, 0u);
   EXPECT_FALSE(uncached.persist_artifact_cache(building, floor));
+}
+
+namespace {
+
+/// The build counts of a diagnostics block (timings excluded).
+std::vector<std::size_t> build_counts(const co::PipelineDiagnostics& d) {
+  return {d.videos_ingested,     d.trajectories_kept,
+          d.trajectories_dropped, d.trajectories_placed,
+          d.match_edges,         d.panoramas_attempted,
+          d.panoramas_stitched,  d.rooms_reconstructed};
+}
+
+/// tiny_campaign() under its own building name, video ids moved by
+/// `id_offset` so two buildings' uploads never share an id.
+std::vector<cs::SensorRichVideo> named_campaign(std::uint64_t seed,
+                                                const std::string& building,
+                                                int id_offset) {
+  auto videos = tiny_campaign(seed);
+  for (auto& video : videos) {
+    video.building = building;
+    video.video_id += id_offset;
+  }
+  return videos;
+}
+
+}  // namespace
+
+TEST(Api, ConcurrentFloorBuildsReportTheirOwnDiagnostics) {
+  // Two floors of one node share its metrics registry. A build's
+  // diagnostics must count that build's own work, never the other floor's,
+  // even when both floors build at the same time.
+  const std::vector<std::vector<cs::SensorRichVideo>> buildings = {
+      named_campaign(830, "A", 0), named_campaign(831, "B", 1000)};
+  std::vector<std::vector<std::size_t>> solo;
+  for (const auto& videos : buildings) {
+    auto client = make_client();
+    for (const auto& video : videos) {
+      ASSERT_TRUE(client.submit_video(video).status.ok());
+    }
+    solo.push_back(build_counts(
+        client.build_plan({videos.front().building, 1, std::nullopt, {}})
+            .result.diagnostics));
+  }
+
+  auto client = make_client();
+  for (const auto& videos : buildings) {
+    for (const auto& video : videos) {
+      ASSERT_TRUE(client.submit_video(video).status.ok());
+    }
+  }
+  client.drain();
+  for (int rep = 0; rep < 3; ++rep) {
+    std::vector<std::vector<std::size_t>> got(buildings.size());
+    std::barrier start(static_cast<std::ptrdiff_t>(buildings.size()));
+    std::vector<std::thread> builders;
+    for (std::size_t b = 0; b < buildings.size(); ++b) {
+      builders.emplace_back([&, b] {
+        start.arrive_and_wait();
+        const std::string& name = buildings[b].front().building;
+        got[b] = build_counts(
+            client.build_plan({name, 1, std::nullopt, {}}).result.diagnostics);
+      });
+    }
+    for (auto& builder : builders) builder.join();
+    for (std::size_t b = 0; b < buildings.size(); ++b) {
+      EXPECT_EQ(got[b], solo[b]) << "building " << b << " rep " << rep;
+    }
+  }
+}
+
+TEST(Api, RepeatedBuildsCountEachUploadOnce) {
+  // Admission is counted once, when an upload joins its floor's corpus —
+  // not again by every build that reads the corpus.
+  const auto videos = tiny_campaign(832);
+  const std::string building = videos.front().building;
+  const int floor = videos.front().floor;
+  auto client = make_client();
+  for (const auto& video : videos) {
+    ASSERT_TRUE(client.submit_video(video).status.ok());
+  }
+  ap::BuildPlanResponse built;
+  for (int build = 0; build < 3; ++build) {
+    built = client.build_plan({building, floor, std::nullopt, {}});
+    ASSERT_TRUE(built.status.ok());
+  }
+  const crowdmap::obs::Labels node0{{"node", "node-0"}};
+  const auto snap = client.metrics();
+  const auto count = [&](const char* name) {
+    return static_cast<std::size_t>(snap.value(name, node0));
+  };
+  const auto& d = built.result.diagnostics;
+  EXPECT_EQ(count("crowdmap_videos_ingested_total"), videos.size());
+  EXPECT_EQ(count("crowdmap_trajectories_kept_total"), d.trajectories_kept);
+  EXPECT_EQ(count("crowdmap_trajectories_dropped_total"),
+            d.trajectories_dropped);
+  EXPECT_EQ(d.videos_ingested, videos.size());
+  EXPECT_EQ(d.trajectories_kept + d.trajectories_dropped, videos.size());
 }

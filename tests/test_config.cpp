@@ -70,9 +70,17 @@ TEST(ConfigOverrides, AppliesKnownKeys) {
 }
 
 TEST(ConfigOverrides, UnknownKeyThrows) {
-  co::PipelineConfig config;
-  const auto file = cc::ConfigFile::parse("match.hs = 0.7\n");  // typo
-  EXPECT_THROW(co::apply_config_overrides(config, file), std::runtime_error);
+  // A typo, then spellings the table no longer carries: each is an error,
+  // never silently ignored.
+  for (const char* line :
+       {"match.hs = 0.7\n", "cluster.replicas = 2\n", "layout.shards = 3\n",
+        "skeleton.dilate = 4\n", "parallel.s2_cache = 123\n",
+        "parallel.s2_cache_capacity = 123\n"}) {
+    co::PipelineConfig config;
+    const auto file = cc::ConfigFile::parse(line);
+    EXPECT_THROW(co::apply_config_overrides(config, file), std::runtime_error)
+        << line;
+  }
 }
 
 TEST(ConfigOverrides, AbsentKeysLeaveDefaults) {
@@ -82,26 +90,6 @@ TEST(ConfigOverrides, AbsentKeysLeaveDefaults) {
   EXPECT_EQ(config.aggregation.match.h_s, defaults.aggregation.match.h_s);
   EXPECT_EQ(config.grid_cell_size, defaults.grid_cell_size);
   EXPECT_EQ(config.layout.hypotheses, defaults.layout.hypotheses);
-}
-
-TEST(ConfigOverrides, DeprecatedAliasesStillApply) {
-  co::PipelineConfig config;
-  const auto file = cc::ConfigFile::parse(
-      "layout.shards = 3\n"
-      "skeleton.dilate = 4\n"
-      "parallel.s2_cache = 123\n");
-  co::apply_config_overrides(config, file);
-  EXPECT_EQ(config.layout.scoring_shards, 3);
-  EXPECT_EQ(config.skeleton.final_dilate_cells, 4);
-  EXPECT_EQ(config.parallel.s2_cache_capacity, 123u);
-}
-
-TEST(ConfigOverrides, CanonicalAndAliasTogetherThrow) {
-  co::PipelineConfig config;
-  const auto file = cc::ConfigFile::parse(
-      "layout.scoring_shards = 3\n"
-      "layout.shards = 5\n");
-  EXPECT_THROW(co::apply_config_overrides(config, file), std::runtime_error);
 }
 
 TEST(ConfigOverrides, CacheKeysApply) {
@@ -142,17 +130,13 @@ TEST(ConfigKeyTable, SortedUniqueAndCoveredByHelp) {
     }
     EXPECT_NE(help.find(table[i].key), std::string::npos)
         << "help is missing " << table[i].key;
-    if (table[i].alias != nullptr) {
-      EXPECT_NE(help.find(table[i].alias), std::string::npos)
-          << "help is missing alias " << table[i].alias;
-    }
   }
 }
 
 TEST(ConfigKeyTable, DocsConfigMdMatchesTable) {
-  // docs/CONFIG.md mirrors config_key_table(): every canonical key (and
-  // alias) appears as a backticked table row, and the doc has exactly one
-  // row per key — so adding a key without documenting it fails here.
+  // docs/CONFIG.md mirrors config_key_table(): every key appears as a
+  // backticked table row, and the doc has exactly one row per key — so
+  // adding a key without documenting it fails here.
   std::ifstream in(std::string(CROWDMAP_SOURCE_DIR) + "/docs/CONFIG.md");
   ASSERT_TRUE(in.good()) << "docs/CONFIG.md is missing";
   std::ostringstream buffer;
@@ -170,11 +154,6 @@ TEST(ConfigKeyTable, DocsConfigMdMatchesTable) {
   for (const auto& info : table) {
     EXPECT_NE(doc.find("`" + std::string(info.key) + "`"), std::string::npos)
         << "docs/CONFIG.md is missing " << info.key;
-    if (info.alias != nullptr) {
-      EXPECT_NE(doc.find("`" + std::string(info.alias) + "`"),
-                std::string::npos)
-          << "docs/CONFIG.md is missing alias " << info.alias;
-    }
   }
 }
 

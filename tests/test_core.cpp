@@ -1,11 +1,12 @@
-// Tests for the CrowdMapPipeline public API: ingestion gates, configuration
-// and a small end-to-end run.
+// Tests for the floor planner's build path: ingestion gates, configuration
+// and a small end-to-end build.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "core/pipeline.hpp"
+#include "core/incremental.hpp"
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
+#include "trajectory/trajectory.hpp"
 
 namespace co = crowdmap::core;
 namespace cs = crowdmap::sim;
@@ -13,6 +14,23 @@ namespace cc = crowdmap::common;
 namespace obs = crowdmap::obs;
 
 namespace {
+
+/// Extracts one upload and admits it, as the service's extraction task does.
+bool ingest_video(co::IncrementalPlanner& planner,
+                  const cs::SensorRichVideo& video) {
+  return planner.ingest(crowdmap::trajectory::extract_trajectory(
+      video, planner.config().extraction));
+}
+
+/// Renders a seeded campaign and admits every upload to `planner`.
+void ingest_campaign(co::IncrementalPlanner& planner,
+                     const cs::FloorPlanSpec& spec,
+                     const cs::CampaignOptions& options, std::uint64_t seed) {
+  cs::generate_campaign_streaming(
+      spec, options, seed, [&planner](cs::SensorRichVideo&& video) {
+        (void)ingest_video(planner, video);
+      });
+}
 
 cs::CampaignOptions small_campaign_options() {
   cs::CampaignOptions options;
@@ -48,27 +66,31 @@ TEST(Pipeline, JunkUploadDropped) {
   options.fps = 3.0;
   cs::UserSimulator user(scene, spec, options, cc::Rng(211));
 
-  co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
-  pipeline.ingest(user.junk_video(cs::Lighting::day()));
-  pipeline.ingest(user.hallway_walk(cs::Lighting::day()));
-  EXPECT_EQ(pipeline.trajectories().size() + pipeline.dropped_count(), 2u);
-  EXPECT_GE(pipeline.trajectories().size(), 1u);
+  co::IncrementalPlanner planner(co::PipelineConfig::fast_profile());
+  (void)ingest_video(planner, user.junk_video(cs::Lighting::day()));
+  (void)ingest_video(planner, user.hallway_walk(cs::Lighting::day()));
+  EXPECT_EQ(planner.trajectories().size() + planner.dropped_count(), 2u);
+  EXPECT_GE(planner.trajectories().size(), 1u);
 }
 
 TEST(Pipeline, IngestTrajectoryGates) {
-  co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
+  co::IncrementalPlanner planner(co::PipelineConfig::fast_profile());
   crowdmap::trajectory::Trajectory empty;
-  pipeline.ingest_trajectory(empty);  // no keyframes -> dropped
-  EXPECT_EQ(pipeline.dropped_count(), 1u);
-  EXPECT_TRUE(pipeline.trajectories().empty());
+  EXPECT_FALSE(planner.ingest(empty));  // no keyframes -> dropped
+  EXPECT_EQ(planner.dropped_count(), 1u);
+  EXPECT_TRUE(planner.trajectories().empty());
+  // The build reports the rejected upload beside the (empty) corpus.
+  const auto result = planner.refresh();
+  EXPECT_EQ(result->diagnostics.trajectories_dropped, 1u);
+  EXPECT_EQ(result->diagnostics.videos_ingested, 1u);
 }
 
 TEST(Pipeline, RunOnEmptyInputProducesEmptyPlan) {
-  co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
-  const auto result = pipeline.run();
-  EXPECT_EQ(result.diagnostics.trajectories_kept, 0u);
-  EXPECT_TRUE(result.plan.rooms.empty());
-  EXPECT_EQ(result.plan.hallway.count_set(), 0u);
+  co::IncrementalPlanner planner(co::PipelineConfig::fast_profile());
+  const auto result = planner.refresh();
+  EXPECT_EQ(result->diagnostics.trajectories_kept, 0u);
+  EXPECT_TRUE(result->plan.rooms.empty());
+  EXPECT_EQ(result->plan.hallway.count_set(), 0u);
 }
 
 TEST(Pipeline, EndToEndSmallCampaign) {
@@ -78,17 +100,13 @@ TEST(Pipeline, EndToEndSmallCampaign) {
   const auto spec = cs::random_building(4, rng);
   const auto options = small_campaign_options();
 
-  co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
-  cs::generate_campaign_streaming(
-      spec, options, 223,
-      [&pipeline](cs::SensorRichVideo&& video) { pipeline.ingest(video); });
+  co::IncrementalPlanner planner(co::PipelineConfig::fast_profile());
+  ingest_campaign(planner, spec, options, 223);
 
-  co::WorldFrame frame;
-  frame.global_to_world = crowdmap::geometry::Pose2{};
-  frame.extent = spec.extent();
-  // Run in the pipeline's own frame (no truth alignment): structure checks
+  // Build in the planner's own frame (no truth alignment): structure checks
   // only.
-  const auto result = pipeline.run();
+  const auto built = planner.refresh();
+  const auto& result = *built;
 
   const auto& d = result.diagnostics;
   EXPECT_EQ(d.videos_ingested, spec.rooms.size() + 8);
@@ -108,23 +126,20 @@ TEST(Pipeline, TraceAgreesWithDiagnostics) {
   const auto spec = cs::random_building(2, rng);
   cs::CampaignOptions options = small_campaign_options();
   options.hallway_walks = 4;
-  co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
-  cs::generate_campaign_streaming(
-      spec, options, 233,
-      [&pipeline](cs::SensorRichVideo&& video) { pipeline.ingest(video); });
-  const auto result = pipeline.run();
+  co::IncrementalPlanner planner(co::PipelineConfig::fast_profile());
+  ingest_campaign(planner, spec, options, 233);
+  const auto result = planner.refresh();
 
-  const auto& d = result.diagnostics;
-  const auto& trace = result.trace;
+  const auto& d = result->diagnostics;
+  const auto& trace = result->trace;
   ASSERT_NE(trace.find("run"), nullptr);
   EXPECT_NEAR(trace.total_seconds("aggregate"), d.aggregate_seconds, 1e-3);
   EXPECT_NEAR(trace.total_seconds("skeleton"), d.skeleton_seconds, 1e-3);
   EXPECT_NEAR(trace.total_seconds("rooms"), d.rooms_seconds, 1e-3);
   EXPECT_NEAR(trace.total_seconds("arrange"), d.arrange_seconds, 1e-3);
-  EXPECT_NEAR(trace.total_seconds("extract"), d.extract_seconds, 1e-3);
 
-  // The registry's stage histogram saw one observation per run() stage.
-  const auto snap = pipeline.metrics().snapshot();
+  // The registry's stage histogram saw one observation per stage.
+  const auto snap = planner.metrics_registry()->snapshot();
   const auto* stages = snap.find("crowdmap_stage_seconds");
   ASSERT_NE(stages, nullptr);
   for (const char* stage : {"aggregate", "skeleton", "rooms", "arrange"}) {
@@ -137,7 +152,7 @@ TEST(Pipeline, TraceAgreesWithDiagnostics) {
     }
     EXPECT_TRUE(found) << stage;
   }
-  // Counters track the run's outcome.
+  // Counters track the build's outcome.
   EXPECT_EQ(static_cast<std::size_t>(
                 snap.value("crowdmap_videos_ingested_total")),
             d.videos_ingested);
@@ -151,15 +166,13 @@ TEST(Pipeline, WorldFrameControlsExtent) {
   const auto spec = cs::random_building(2, rng);
   cs::CampaignOptions options = small_campaign_options();
   options.hallway_walks = 4;
-  co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
-  cs::generate_campaign_streaming(
-      spec, options, 227,
-      [&pipeline](cs::SensorRichVideo&& video) { pipeline.ingest(video); });
+  co::IncrementalPlanner planner(co::PipelineConfig::fast_profile());
+  ingest_campaign(planner, spec, options, 227);
   co::WorldFrame frame;
   frame.extent = spec.extent();
-  auto result = pipeline.run(frame);
-  EXPECT_NEAR(result.plan.hallway.extent().min.x, spec.extent().min.x, 1e-9);
-  EXPECT_NEAR(result.plan.hallway.extent().max.y, spec.extent().max.y, 1e-9);
+  const auto result = planner.refresh(frame);
+  EXPECT_NEAR(result->plan.hallway.extent().min.x, spec.extent().min.x, 1e-9);
+  EXPECT_NEAR(result->plan.hallway.extent().max.y, spec.extent().max.y, 1e-9);
 }
 
 TEST(Pipeline, RoomDedupMergesRevisits) {
@@ -169,12 +182,10 @@ TEST(Pipeline, RoomDedupMergesRevisits) {
   cs::CampaignOptions options = small_campaign_options();
   options.room_videos_per_room = 2;
   options.hallway_walks = 6;
-  co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
-  cs::generate_campaign_streaming(
-      spec, options, 229,
-      [&pipeline](cs::SensorRichVideo&& video) { pipeline.ingest(video); });
-  const auto result = pipeline.run();
+  co::IncrementalPlanner planner(co::PipelineConfig::fast_profile());
+  ingest_campaign(planner, spec, options, 229);
+  const auto result = planner.refresh();
   // No more reconstructed rooms than real rooms (dedup worked), allowing one
   // spurious extra in the worst case.
-  EXPECT_LE(result.rooms.size(), spec.rooms.size() + 1);
+  EXPECT_LE(result->rooms.size(), spec.rooms.size() + 1);
 }

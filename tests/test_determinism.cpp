@@ -1,6 +1,6 @@
 // Locks in the invariant the lint rules and thread-safety annotations exist
-// to protect: a seeded pipeline is a pure function of (spec, seed, config).
-// Two independent in-process runs — fresh pipeline, fresh pool, fresh caches
+// to protect: a seeded build is a pure function of (spec, seed, config).
+// Two independent in-process runs — fresh planner, fresh pool, fresh caches
 // — must produce byte-identical serialized FloorPlans, and the thread count
 // must not leak into the bytes either.
 #include <gtest/gtest.h>
@@ -9,10 +9,11 @@
 
 #include "api/v2.hpp"
 #include "common/rng.hpp"
-#include "core/pipeline.hpp"
+#include "core/incremental.hpp"
 #include "floorplan/serialize.hpp"
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
+#include "trajectory/trajectory.hpp"
 
 namespace ap = crowdmap::api;
 namespace cc = crowdmap::common;
@@ -37,12 +38,14 @@ crowdmap::io::Bytes serialized_run(std::uint64_t seed, std::size_t threads) {
 
   co::PipelineConfig config = co::PipelineConfig::fast_profile();
   config.parallel.threads = threads;
-  // The bare stage executor is the unit under test here.
-  co::CrowdMapPipeline pipeline(config);
+  // The planner without the service around it is the unit under test here.
+  co::IncrementalPlanner planner(config);
   cs::generate_campaign_streaming(
-      spec, options, seed,
-      [&pipeline](cs::SensorRichVideo&& video) { pipeline.ingest(video); });
-  return crowdmap::floorplan::encode_floorplan(pipeline.run().plan);
+      spec, options, seed, [&planner](cs::SensorRichVideo&& video) {
+        (void)planner.ingest(crowdmap::trajectory::extract_trajectory(
+            video, planner.config().extraction));
+      });
+  return crowdmap::floorplan::encode_floorplan(planner.refresh()->plan);
 }
 
 std::vector<cs::SensorRichVideo> campaign_videos(std::uint64_t seed) {

@@ -13,11 +13,12 @@
 #include "api/v2.hpp"
 #include "common/fault.hpp"
 #include "common/rng.hpp"
-#include "core/pipeline.hpp"
+#include "core/incremental.hpp"
 #include "floorplan/serialize.hpp"
 #include "obs/flight.hpp"
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
+#include "trajectory/trajectory.hpp"
 
 namespace ap = crowdmap::api;
 namespace cc = crowdmap::common;
@@ -202,10 +203,21 @@ TEST(Flight, AnomalyDumpsAreBudgetedAndDumpNowIsNot) {
   EXPECT_EQ(flight.anomaly_dumps(), 2u);
 }
 
-// --------------------------------------------------- pipeline contracts ---
+// ---------------------------------------------------- planner contracts ---
 
-/// Seeded campaign ingested into a bare pipeline; returns the pipeline after
-/// run() so tests can inspect both the plan bytes and the flight recorder.
+/// Renders a seeded campaign and admits every upload to `planner`.
+void ingest_campaign(co::IncrementalPlanner& planner,
+                     const cs::FloorPlanSpec& spec,
+                     const cs::CampaignOptions& options, std::uint64_t seed) {
+  cs::generate_campaign_streaming(
+      spec, options, seed, [&planner](cs::SensorRichVideo&& video) {
+        (void)planner.ingest(crowdmap::trajectory::extract_trajectory(
+            video, planner.config().extraction));
+      });
+}
+
+/// Seeded campaign built by a planner of its own: the plan bytes and the
+/// planner's flight recorder after one refresh.
 struct PipelineRun {
   crowdmap::io::Bytes plan_bytes;
   obs::FlightDump deterministic_dump;
@@ -228,15 +240,14 @@ PipelineRun seeded_run(std::size_t threads, bool flight_enabled,
   config.flight.enabled = flight_enabled;
   config.flight.ring_capacity = 1u << 16;  // no wraparound in this workload
   config.faults = std::move(faults);
-  // The bare stage executor is the unit under test here.
-  co::CrowdMapPipeline pipeline(config);
-  cs::generate_campaign_streaming(
-      spec, options, 777,
-      [&pipeline](cs::SensorRichVideo&& video) { pipeline.ingest(video); });
+  // The planner without the service around it is the unit under test here.
+  co::IncrementalPlanner planner(config);
+  ingest_campaign(planner, spec, options, 777);
 
   PipelineRun out;
-  out.plan_bytes = crowdmap::floorplan::encode_floorplan(pipeline.run().plan);
-  if (obs::FlightRecorder* flight = pipeline.flight_recorder()) {
+  out.plan_bytes =
+      crowdmap::floorplan::encode_floorplan(planner.refresh()->plan);
+  if (obs::FlightRecorder* flight = planner.flight_recorder()) {
     out.deterministic_dump = flight->deterministic_dump();
     out.dropped = flight->dropped();
   }
@@ -284,29 +295,27 @@ TEST(Flight, ChaosFaultFiresAnomalyDump) {
   config.flight.enabled = true;
   config.flight.dump_on_anomaly = true;
   config.faults = plan;
-  co::CrowdMapPipeline pipeline(config);
+  co::IncrementalPlanner planner(config);
 
   int dumps = 0;
   std::string first_reason;
-  ASSERT_NE(pipeline.flight_recorder(), nullptr);
-  pipeline.flight_recorder()->set_dump_sink(
+  ASSERT_NE(planner.flight_recorder(), nullptr);
+  planner.flight_recorder()->set_dump_sink(
       [&](const obs::FlightDump& dump, std::string_view reason) {
         if (dumps++ == 0) first_reason = std::string(reason);
         EXPECT_FALSE(dump.events.empty());
       });
 
-  cs::generate_campaign_streaming(
-      spec, options, 777,
-      [&pipeline](cs::SensorRichVideo&& video) { pipeline.ingest(video); });
-  const auto result = pipeline.run();
-  ASSERT_FALSE(crowdmap::floorplan::encode_floorplan(result.plan).empty());
+  ingest_campaign(planner, spec, options, 777);
+  const auto result = planner.refresh();
+  ASSERT_FALSE(crowdmap::floorplan::encode_floorplan(result->plan).empty());
 
-  EXPECT_GE(pipeline.flight_recorder()->anomaly_dumps(), 1u);
+  EXPECT_GE(planner.flight_recorder()->anomaly_dumps(), 1u);
   EXPECT_GE(dumps, 1);
   EXPECT_EQ(first_reason.rfind("anomaly:", 0), 0u) << first_reason;
 
   // The fired fault is in the dump, with its point name interned.
-  const obs::FlightDump dump = pipeline.flight_recorder()->dump();
+  const obs::FlightDump dump = planner.flight_recorder()->dump();
   bool saw_fault = false;
   for (const auto& event : dump.events) {
     if (event.kind == FlightEventKind::kFaultFired) saw_fault = true;

@@ -1,76 +1,10 @@
-// Tests for the incremental aggregation cache.
+// Tests for pose-graph placement of a given edge set (place_edges): the
+// step aggregation ends with, and the one WiFi-based aggregation reuses.
 #include <gtest/gtest.h>
 
-#include "bench_util.hpp"
-#include "trajectory/incremental.hpp"
-
+#include "trajectory/aggregate.hpp"
 
 namespace ct = crowdmap::trajectory;
-namespace cs = crowdmap::sim;
-namespace cc = crowdmap::common;
-
-namespace {
-
-std::vector<ct::Trajectory> pool() {
-  static const auto cached =
-      crowdmap::bench::make_walk_pool(cs::lab1(), 8, 0.0, 0xC0FFEE);
-  return cached;
-}
-
-}  // namespace
-
-TEST(Incremental, MatchCountIsIncremental) {
-  ct::IncrementalAggregator agg;
-  const auto trajectories = pool();
-  std::size_t expected = 0;
-  for (std::size_t i = 0; i < trajectories.size(); ++i) {
-    EXPECT_EQ(agg.add(trajectories[i]), i);
-    expected += i;  // newcomer matches everything before it
-    EXPECT_EQ(agg.stats().pair_matches_computed, expected);
-  }
-  // Full batch would also be n*(n-1)/2 — same total, but spread over adds.
-  EXPECT_EQ(expected, trajectories.size() * (trajectories.size() - 1) / 2);
-}
-
-TEST(Incremental, AggregateMatchesBatchResult) {
-  const auto trajectories = pool();
-  ct::IncrementalAggregator agg;
-  for (const auto& t : trajectories) agg.add(t);
-  const auto incremental = agg.aggregate();
-  const auto batch = ct::aggregate_trajectories(trajectories, {});
-  EXPECT_EQ(incremental.placed_count, batch.placed_count);
-  EXPECT_EQ(incremental.edges.size(), batch.edges.size());
-  // Identical placements (both are deterministic over the same edge set).
-  ASSERT_EQ(incremental.global_pose.size(), batch.global_pose.size());
-  for (std::size_t i = 0; i < batch.global_pose.size(); ++i) {
-    ASSERT_EQ(incremental.global_pose[i].has_value(),
-              batch.global_pose[i].has_value());
-    if (batch.global_pose[i]) {
-      EXPECT_NEAR(incremental.global_pose[i]->position.x,
-                  batch.global_pose[i]->position.x, 1e-9);
-      EXPECT_NEAR(incremental.global_pose[i]->theta,
-                  batch.global_pose[i]->theta, 1e-9);
-    }
-  }
-}
-
-TEST(Incremental, AggregateIsRepeatableWithoutRematching) {
-  const auto trajectories = pool();
-  ct::IncrementalAggregator agg;
-  for (const auto& t : trajectories) agg.add(t);
-  const auto computed_before = agg.stats().pair_matches_computed;
-  (void)agg.aggregate();
-  (void)agg.aggregate();
-  EXPECT_EQ(agg.stats().pair_matches_computed, computed_before);
-  EXPECT_GT(agg.stats().pair_matches_cached, 0u);
-}
-
-TEST(Incremental, EmptyAggregate) {
-  ct::IncrementalAggregator agg;
-  const auto result = agg.aggregate();
-  EXPECT_EQ(result.placed_count, 0u);
-  EXPECT_TRUE(result.edges.empty());
-}
 
 TEST(PlaceEdges, SyntheticChainPlacesAll) {
   // Three nodes in a chain: 0 -(b_to_a = +x 5)- 1 -(+x 5)- 2.

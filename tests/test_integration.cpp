@@ -2,9 +2,10 @@
 // determinism guarantee and parameterized property sweeps.
 #include <gtest/gtest.h>
 
-#include "core/pipeline.hpp"
+#include "core/incremental.hpp"
 #include "eval/datasets.hpp"
 #include "eval/harness.hpp"
+#include "trajectory/trajectory.hpp"
 
 namespace ce = crowdmap::eval;
 namespace co = crowdmap::core;
@@ -82,13 +83,15 @@ TEST_P(RandomBuildingSweep, PipelinePlacesAndReconstructs) {
   options.junk_fraction = 0.0;
   options.sim.fps = 3.0;
 
-  co::CrowdMapPipeline pipeline(co::PipelineConfig::fast_profile());
+  co::IncrementalPlanner planner(co::PipelineConfig::fast_profile());
   crowdmap::sim::generate_campaign_streaming(
       building, options, 400 + static_cast<std::uint64_t>(n_rooms),
-      [&pipeline](crowdmap::sim::SensorRichVideo&& video) {
-        pipeline.ingest(video);
+      [&planner](crowdmap::sim::SensorRichVideo&& video) {
+        (void)planner.ingest(crowdmap::trajectory::extract_trajectory(
+            video, planner.config().extraction));
       });
-  const auto result = pipeline.run();
+  const auto built = planner.refresh();
+  const auto& result = *built;
 
   // Invariants that must hold at any scale:
   EXPECT_LE(result.diagnostics.trajectories_placed,

@@ -1,7 +1,7 @@
 // Tests for the parallel execution layer: parallel_for semantics (coverage,
 // nesting, exceptions), task groups sharing one pool (isolation, teardown,
-// observers), the bounded S2 memo cache, and the headline guarantee — the
-// pipeline produces bit-identical results at any thread count.
+// observers), and the headline guarantee — the planner produces
+// bit-identical results at any thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,20 +11,16 @@
 #include <memory>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
-#include "common/mathutil.hpp"
-#include "common/memo_cache.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "core/pipeline.hpp"
+#include "core/incremental.hpp"
 #include "room/layout.hpp"
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
 #include "sim/user_sim.hpp"
 #include "trajectory/aggregate.hpp"
-#include "trajectory/matching.hpp"
 #include "vision/panorama.hpp"
 
 namespace cc = crowdmap::common;
@@ -237,153 +233,6 @@ TEST(TaskGroup, TaskRunningParallelForOnASaturatedPoolCompletes) {
   other.wait();
 }
 
-// ------------------------------------------------------- BoundedMemoCache ---
-
-TEST(BoundedMemoCache, HitAndMissCounting) {
-  cc::BoundedMemoCache cache(64, 4);
-  EXPECT_FALSE(cache.lookup(7).has_value());
-  cache.insert(7, 1.5);
-  const auto hit = cache.lookup(7);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, 1.5);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(BoundedMemoCache, GetOrComputeComputesOnce) {
-  cc::BoundedMemoCache cache(64);
-  int computed = 0;
-  const auto compute = [&] {
-    ++computed;
-    return 3.25;
-  };
-  EXPECT_EQ(cache.get_or_compute(42, compute), 3.25);
-  EXPECT_EQ(cache.get_or_compute(42, compute), 3.25);
-  EXPECT_EQ(computed, 1);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(BoundedMemoCache, EvictionBoundsTheFootprint) {
-  cc::BoundedMemoCache cache(32, 4);
-  for (std::uint64_t k = 0; k < 10000; ++k) cache.insert(k, double(k));
-  // FIFO eviction keeps each shard at its slice of the capacity.
-  EXPECT_LE(cache.size(), cache.capacity() + 4);  // ceil rounding per shard
-  // Recently inserted keys are still present.
-  EXPECT_TRUE(cache.lookup(9999).has_value());
-}
-
-TEST(BoundedMemoCache, ConcurrentMixedTraffic) {
-  cc::BoundedMemoCache cache(256, 8);
-  cc::ThreadPool pool(3);
-  cc::parallel_for(&pool, 4000, [&](std::size_t i) {
-    const std::uint64_t key = i % 97;
-    const double value = cache.get_or_compute(key, [&] { return double(key) * 2; });
-    EXPECT_EQ(value, double(key) * 2);
-  });
-  EXPECT_EQ(cache.hits() + cache.misses(), 4000u);
-  EXPECT_LE(cache.size(), cache.capacity() + 8);
-}
-
-// -------------------------------------------------------- S2 cache scores ---
-
-namespace {
-
-std::vector<ct::Trajectory> campaign_trajectories(int rooms, std::uint64_t seed) {
-  cc::Rng rng(seed);
-  const auto spec = cs::random_building(rooms, rng);
-  cs::CampaignOptions options;
-  options.users = 3;
-  options.room_videos_per_room = 1;
-  options.hallway_walks = 8;
-  options.junk_fraction = 0.0;
-  options.night_fraction = 0.2;
-  options.sim.fps = 3.0;
-  std::vector<ct::Trajectory> out;
-  cs::generate_campaign_streaming(spec, options, seed,
-                                  [&out](cs::SensorRichVideo&& video) {
-                                    out.push_back(ct::extract_trajectory(video));
-                                  });
-  return out;
-}
-
-}  // namespace
-
-TEST(S2Cache, CachedScoresAreBitIdentical) {
-  const auto trajectories = campaign_trajectories(3, 611);
-  ASSERT_TRUE(ct::s2_cache_usable(trajectories));
-  const ct::MatchConfig config;
-  cc::BoundedMemoCache cache(1 << 12);
-
-  bool compared_any = false;
-  for (std::size_t a = 0; a < trajectories.size(); ++a) {
-    for (std::size_t b = a + 1; b < trajectories.size(); ++b) {
-      const auto plain =
-          ct::find_anchors(trajectories[a], trajectories[b], config, nullptr);
-      const auto cached =
-          ct::find_anchors(trajectories[a], trajectories[b], config, &cache);
-      ASSERT_EQ(plain.size(), cached.size());
-      for (std::size_t k = 0; k < plain.size(); ++k) {
-        EXPECT_EQ(plain[k].kf_a, cached[k].kf_a);
-        EXPECT_EQ(plain[k].kf_b, cached[k].kf_b);
-        EXPECT_EQ(plain[k].s1, cached[k].s1);
-        EXPECT_EQ(plain[k].s2, cached[k].s2);  // bit-equal, not approximately
-        compared_any = true;
-      }
-    }
-  }
-  EXPECT_TRUE(compared_any);
-  EXPECT_GT(cache.misses(), 0u);
-
-  // A second pass over the same pairs is served from the cache.
-  const auto misses_before = cache.misses();
-  for (std::size_t a = 0; a < trajectories.size(); ++a) {
-    for (std::size_t b = a + 1; b < trajectories.size(); ++b) {
-      (void)ct::find_anchors(trajectories[a], trajectories[b], config, &cache);
-    }
-  }
-  EXPECT_EQ(cache.misses(), misses_before);
-  EXPECT_GT(cache.hits(), 0u);
-}
-
-TEST(S2Cache, DuplicateVideoIdsDisableTheCache) {
-  auto trajectories = campaign_trajectories(2, 613);
-  ASSERT_GE(trajectories.size(), 2u);
-  trajectories[1].video_id = trajectories[0].video_id;
-  EXPECT_FALSE(ct::s2_cache_usable(trajectories));
-}
-
-TEST(S2Cache, KeyIsCollisionFreeForSmallIdentities) {
-  // Real campaigns use tiny video ids and frame indices; the key derivation
-  // must not alias distinct identities in that regime. (A raw hash_combine
-  // of the small integers did: its (a<<6) term steps by 64 per video_id,
-  // which a ~64-frame shift can cancel — e.g. (v12, f79) vs (v13, f14).)
-  ct::Trajectory a;
-  ct::Trajectory b;
-  a.keyframes.resize(1);
-  b.keyframes.resize(1);
-  const ct::MatchConfig config;
-  std::unordered_set<std::uint64_t> keys;
-  constexpr int kVideos = 16;
-  constexpr std::size_t kFrames = 80;
-  keys.reserve(kVideos * kFrames * kVideos * kFrames);
-  for (int va = 0; va < kVideos; ++va) {
-    a.video_id = va;
-    for (std::size_t fa = 0; fa < kFrames; ++fa) {
-      a.keyframes[0].frame_index = fa;
-      for (int vb = 0; vb < kVideos; ++vb) {
-        b.video_id = vb;
-        for (std::size_t fb = 0; fb < kFrames; ++fb) {
-          b.keyframes[0].frame_index = fb;
-          keys.insert(ct::s2_cache_key(a, 0, b, 0, config));
-        }
-      }
-    }
-  }
-  EXPECT_EQ(keys.size(),
-            static_cast<std::size_t>(kVideos) * kFrames * kVideos * kFrames);
-}
-
 // -------------------------------------------------- layout shard determinism ---
 
 TEST(LayoutSharding, PoolDoesNotChangeTheLayout) {
@@ -444,7 +293,7 @@ TEST(LayoutSharding, PoolDoesNotChangeTheLayout) {
   }
 }
 
-// ----------------------------------------------------- pipeline determinism ---
+// ------------------------------------------------------ planner determinism ---
 
 namespace {
 
@@ -461,11 +310,13 @@ co::PipelineResult run_small_campaign(std::size_t threads) {
 
   co::PipelineConfig config = co::PipelineConfig::fast_profile();
   config.parallel.threads = threads;
-  co::CrowdMapPipeline pipeline(config);
+  co::IncrementalPlanner planner(config);
   cs::generate_campaign_streaming(
-      spec, options, 223,
-      [&pipeline](cs::SensorRichVideo&& video) { pipeline.ingest(video); });
-  return pipeline.run();
+      spec, options, 223, [&planner](cs::SensorRichVideo&& video) {
+        (void)planner.ingest(
+            ct::extract_trajectory(video, planner.config().extraction));
+      });
+  return *planner.refresh();
 }
 
 }  // namespace
@@ -527,10 +378,4 @@ TEST(PipelineDeterminism, FourThreadsMatchSerialBitForBit) {
   // Occupancy and skeleton rasters derive from the identical poses.
   EXPECT_EQ(serial.skeleton.raster.count_set(),
             parallel.skeleton.raster.count_set());
-
-  // The serial run had no pool but the same S2 cache semantics: both runs see
-  // only misses on their first (and only) aggregation round.
-  EXPECT_EQ(serial.diagnostics.s2_cache_hits + serial.diagnostics.s2_cache_misses,
-            parallel.diagnostics.s2_cache_hits +
-                parallel.diagnostics.s2_cache_misses);
 }

@@ -20,10 +20,11 @@
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
-#include "core/pipeline.hpp"
+#include "core/incremental.hpp"
 #include "floorplan/serialize.hpp"
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
+#include "trajectory/trajectory.hpp"
 #include "vision/matcher.hpp"
 #include "vision/surf.hpp"
 
@@ -581,12 +582,14 @@ TEST(SimdPipeline, FloorPlanBytesInvariantToDispatchAndThreads) {
     co::PipelineConfig config = co::PipelineConfig::fast_profile();
     config.parallel.threads = threads;
     config.simd.force_scalar = force_scalar;
-    // The bare stage executor is the unit under test here.
-    co::CrowdMapPipeline pipeline(config);
+    // The planner without the service around it is the unit under test.
+    co::IncrementalPlanner planner(config);
     cs::generate_campaign_streaming(
-        spec, options, 0x51D8,
-        [&pipeline](cs::SensorRichVideo&& video) { pipeline.ingest(video); });
-    return crowdmap::floorplan::encode_floorplan(pipeline.run().plan);
+        spec, options, 0x51D8, [&planner](cs::SensorRichVideo&& video) {
+          (void)planner.ingest(crowdmap::trajectory::extract_trajectory(
+              video, planner.config().extraction));
+        });
+    return crowdmap::floorplan::encode_floorplan(planner.refresh()->plan);
   };
   const auto baseline = run(false, 1);
   ASSERT_FALSE(baseline.empty());

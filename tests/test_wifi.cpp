@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_util.hpp"
-#include "trajectory/incremental.hpp"
+#include "trajectory/aggregate.hpp"
 #include "sim/buildings.hpp"
 #include "sim/scene.hpp"
 #include "wifi/model.hpp"

@@ -58,11 +58,6 @@ const std::vector<RuleInfo> kRules = {
      "integer cast, or brace init); interrogate the named common::faults::k* "
      "constants or iterate all_fault_points() so the catalog stays the "
      "single source of truth"},
-    {"pipeline-construction",
-     "core::CrowdMapPipeline constructed outside src/; the pipeline is an "
-     "internal stage executor — go through api::Client (or "
-     "core::IncrementalPlanner) so callers get the versioned surface, "
-     "artifact caching and background refresh"},
     {"metric-help-required",
      "counter()/gauge()/histogram() registration without non-empty help "
      "text; the Prometheus export ships # HELP lines and an unexplained "

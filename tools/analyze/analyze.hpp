@@ -3,9 +3,9 @@
 // It builds a model of every translation unit (tools/analyze/model.hpp).
 // While building it, the per-site rules (raw-rng, wall-clock,
 // unordered-container, naked-new, float-accumulator, pragma-once,
-// fault-point-name, pipeline-construction, metric-help-required,
-// raw-intrinsics, raw-file-io) flag each offending construct at its own
-// line, in any scope. Then three cross-file passes run:
+// fault-point-name, metric-help-required, raw-intrinsics, raw-file-io) flag
+// each offending construct at its own line, in any scope. Then three
+// cross-file passes run:
 //
 //   layering     — the module DAG below is enforced over the include graph:
 //                  cross-layer includes must point downward; same-layer

@@ -123,32 +123,6 @@ bool synthesizes_fault_point(const std::vector<Token>& t, std::size_t i) {
          t[k - 1].text.ends_with("FaultPoint");
 }
 
-/// A CrowdMapPipeline by-value declaration, naked new, or
-/// make_unique/make_shared instantiation. References never match.
-bool constructs_pipeline(const std::vector<Token>& t, std::size_t i) {
-  const std::string& s = t[i].text;
-  if (s == "CrowdMapPipeline") {
-    return i + 1 < t.size() && t[i + 1].kind == TokKind::kIdentifier &&
-           (punct_at(t, i + 2, "(") || punct_at(t, i + 2, "{") ||
-            punct_at(t, i + 2, ";"));
-  }
-  const bool made = (s.ends_with("make_unique") || s.ends_with("make_shared")) &&
-                    punct_at(t, i + 1, "<");
-  if (s != "new" && !made) return false;
-  // new [ns::]...CrowdMapPipeline, or make_*<...CrowdMapPipeline...>.
-  for (std::size_t k = i + 1; k < t.size() && !punct_at(t, k, ">"); ++k) {
-    if (t[k].kind == TokKind::kIdentifier &&
-        (made ? t[k].text.find("CrowdMapPipeline") != std::string::npos
-              : t[k].text.ends_with("CrowdMapPipeline"))) {
-      return true;
-    }
-    if (!made && t[k].kind != TokKind::kIdentifier && !punct_at(t, k, "::")) {
-      return false;
-    }
-  }
-  return false;
-}
-
 /// fopen/freopen/unlink calls, std::[io]fstream, std::rename, and the
 /// std::filesystem remove/rename/create_directory family. The std::remove
 /// *algorithm* never matches.
@@ -278,13 +252,6 @@ void site_rules(const std::string& path, const std::vector<Token>& t,
     hit("fault-point-name", s == "static_cast" ? "FaultPoint" : s,
         "FaultPoint synthesized outside the catalog; use the named "
         "common::faults::k* constants or all_fault_points()");
-  }
-  // The library composes the pipeline internally; everyone else goes
-  // through the api::Client facade.
-  if (constructs_pipeline(t, i) && !path.starts_with("src/")) {
-    hit("pipeline-construction", "CrowdMapPipeline",
-        "direct CrowdMapPipeline construction outside src/; use api::Client "
-        "(api/v2.hpp) instead");
   }
   if (raw_intrinsic(s) && !path.starts_with("src/common/simd.")) {
     hit("raw-intrinsics", s, kRawIntrinsicsMessage);

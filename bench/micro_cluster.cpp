@@ -24,8 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "api/v2.hpp"
 #include "bench_util.hpp"
-#include "cluster/cluster.hpp"
 #include "common/stopwatch.hpp"
 
 namespace {
@@ -35,9 +35,9 @@ constexpr int kRepeats = 3;
 constexpr std::size_t kShards = 256;
 constexpr double kRequiredBalance = 2.5;
 
-crowdmap::cluster::ClusterOptions cluster_options(std::size_t nodes,
-                                                  std::size_t replication) {
-  crowdmap::cluster::ClusterOptions options;
+crowdmap::api::ClientOptions client_options(std::size_t nodes,
+                                            std::size_t replication) {
+  crowdmap::api::ClientOptions options;
   options.config = crowdmap::core::PipelineConfig::fast_profile();
   options.config.cluster.nodes = nodes;
   options.config.cluster.replication_factor = replication;
@@ -46,21 +46,20 @@ crowdmap::cluster::ClusterOptions cluster_options(std::size_t nodes,
 }
 
 /// Routes one small upload per shard; returns elapsed seconds.
-double route_corpus(crowdmap::cluster::Cluster& cluster) {
-  const crowdmap::cloud::Blob payload(128, 0x5A);
+double route_corpus(crowdmap::api::Client& client) {
+  crowdmap::api::SubmitUploadRequest request;
+  request.payload = crowdmap::cloud::Blob(128, 0x5A);
   crowdmap::common::Stopwatch timer;
   for (std::size_t shard = 0; shard < kShards; ++shard) {
-    const std::string building = "bldg-" + std::to_string(shard);
-    const auto ticket =
-        cluster.submit_upload("upload-" + std::to_string(shard), building,
-                              /*floor=*/1, payload);
-    if (ticket.outcome != crowdmap::cluster::SubmitOutcome::kAccepted) {
+    request.upload_id = "upload-" + std::to_string(shard);
+    request.building = "bldg-" + std::to_string(shard);
+    if (!client.submit_upload(request).status.ok()) {
       std::cerr << "upload refused for shard " << shard << "\n";
       std::exit(1);
     }
   }
   const double seconds = timer.elapsed_seconds();
-  cluster.drain();
+  client.drain();
   return seconds;
 }
 
@@ -78,12 +77,12 @@ int main(int argc, char** argv) {
   std::vector<double> rf2_seconds;
   double max_share = 1.0;
   for (int r = 0; r < kRepeats; ++r) {
-    cluster::Cluster lean(cluster_options(4, 1));
+    api::Client lean(client_options(4, 1));
     routed_seconds.push_back(route_corpus(lean));
 
     const auto metrics = lean.metrics();
     double max_routed = 0.0;
-    for (std::size_t node = 0; node < lean.node_count(); ++node) {
+    for (std::size_t node = 0; node < lean.nodes(); ++node) {
       max_routed = std::max(
           max_routed,
           metrics.value("crowdmap_cluster_uploads_routed_total",
@@ -91,7 +90,7 @@ int main(int argc, char** argv) {
     }
     max_share = max_routed / static_cast<double>(kShards);
 
-    cluster::Cluster replicated(cluster_options(4, 2));
+    api::Client replicated(client_options(4, 2));
     rf2_seconds.push_back(route_corpus(replicated));
   }
   std::cout << "# " << kShards << " shards over 4 nodes, most-loaded share "

@@ -1,8 +1,8 @@
 // api::Status — the structured error model of the v2 facade (docs/API.md).
 // Version-independent: codes live directly in crowdmap::api so a future v3
 // shares them, and each code names a caller-actionable condition (retry the
-// rejected chunks, refresh routing, back off, fix the deployment) instead of
-// a bare bool.
+// rejected chunks, refresh routing, back off, re-issue with a fresh
+// deadline) instead of a bare bool.
 #pragma once
 
 #include <string>
@@ -10,7 +10,8 @@
 
 namespace crowdmap::api {
 
-/// Stable, append-only catalog of request outcomes.
+/// Catalog of request outcomes. Codes are never renumbered, and a code that
+/// nothing returns is deleted.
 enum class StatusCode : int {
   kOk = 0,
   /// >=1 chunk was rejected or the upload never reassembled; retransmit.
@@ -22,15 +23,6 @@ enum class StatusCode : int {
   kShedding = 3,
   /// The request-scoped deadline elapsed before admission.
   kDeadlineExceeded = 4,
-  /// The durable store refused the operation (persistence disabled or the
-  /// backing log failed); operator attention, not a retry.
-  kStorageUnavailable = 5,
-  /// The addressed entity (floor, node, document) does not exist.
-  kNotFound = 6,
-  /// No node can currently serve the shard (all replicas partitioned).
-  kUnavailable = 7,
-  /// Invariant violation inside the backend; report a bug.
-  kInternal = 8,
 };
 
 /// Catalog name of a code ("ok", "rejected_chunks", ...); "unknown" for

@@ -32,7 +32,7 @@ struct DurableStoreOptions {
   bool fsync = true;
 };
 
-/// Durability facts for ServiceStats / api::Client::durability_stats().
+/// Durability facts for ServiceStats (api::Client::stats().durability).
 struct DurabilityStats {
   bool enabled = false;
   bool recovered = false;  // open_and_recover() completed

@@ -39,13 +39,8 @@ CrowdMapService::CrowdMapService(core::PipelineConfig config,
   uploads_rejected_ = &registry_->counter(
       "crowdmap_uploads_rejected_total", {},
       "Chunk deliveries rejected by ingestion");
-  videos_decoded_ = &registry_->counter(
-      "crowdmap_videos_decoded_total", {}, "Uploads decoded into videos");
   decode_failures_ = &registry_->counter(
       "crowdmap_decode_failures_total", {}, "Uploads the decoder rejected");
-  trajectories_extracted_ = &registry_->counter(
-      "crowdmap_trajectories_extracted_total", {},
-      "Trajectories extracted and retained");
   sensor_dropouts_ = &registry_->counter(
       "crowdmap_sensor_dropouts_injected_total", {},
       "Uploads whose sensor tail was truncated by the chaos plan");
@@ -205,7 +200,6 @@ void CrowdMapService::dispatch_extraction(const Document& doc) {
       decode_failures_->increment();
       return;
     }
-    videos_decoded_->increment();
     // Chaos: sensor dropout — the phone stopped recording mid-walk. Keep a
     // deterministic fraction of the head of the capture and truncate the
     // synchronized IMU tail to match.
@@ -236,7 +230,6 @@ void CrowdMapService::dispatch_extraction(const Document& doc) {
           << "dropped unqualified upload " << doc.id;
       return;
     }
-    trajectories_extracted_->increment();
     if (config_.incremental.background_refresh) schedule_refresh(key);
   });
 }
@@ -263,14 +256,6 @@ std::shared_ptr<const core::PipelineResult> CrowdMapService::latest_plan(
   const auto it = planners_.find({building, floor});
   if (it == planners_.end()) return nullptr;
   return it->second->latest();
-}
-
-core::CacheReuseStats CrowdMapService::last_cache_reuse(
-    const std::string& building, int floor) const {
-  common::MutexLock lock(mutex_);
-  const auto it = planners_.find({building, floor});
-  if (it == planners_.end()) return {};
-  return it->second->last_reuse();
 }
 
 std::vector<trajectory::Trajectory> CrowdMapService::trajectories(
@@ -383,9 +368,14 @@ ServiceStats CrowdMapService::stats() const {
   ServiceStats out;
   out.uploads_completed = uploads_completed_->value();
   out.uploads_rejected = uploads_rejected_->value();
-  out.videos_decoded = videos_decoded_->value();
   out.decode_failures = decode_failures_->value();
-  out.trajectories_extracted = trajectories_extracted_->value();
+  // Every decoded video is extracted and presented to its floor's planner,
+  // so the planners' admission series count decodes and kept extractions.
+  const obs::MetricsSnapshot snapshot = registry_->snapshot();
+  out.videos_decoded = static_cast<std::size_t>(
+      snapshot.value("crowdmap_videos_ingested_total"));
+  out.trajectories_extracted = static_cast<std::size_t>(
+      snapshot.value("crowdmap_trajectories_kept_total"));
   out.sensor_dropouts = sensor_dropouts_->value();
   out.cache_warmstart_rejected = cache_warmstart_rejected_->value();
   out.ingest = ingest_->stats();

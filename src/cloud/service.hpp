@@ -1,9 +1,10 @@
-// CrowdMapService — the assembled cloud backend (paper §IV.2): chunked
+// CrowdMapService — one node of the cloud backend (paper §IV.2): chunked
 // uploads land in the document store through the ingestion service; a task
 // group on a borrowed worker pool extracts trajectories asynchronously (the
 // Spark-cluster stand-in); floor plans are built per (building, floor) by
 // incremental planners that reuse content-addressed artifacts across
-// refreshes (docs/INCREMENTAL.md).
+// refreshes (docs/INCREMENTAL.md). api::Client runs one per node and routes
+// every request to it.
 #pragma once
 
 #include <functional>
@@ -38,8 +39,10 @@ using VideoDecoder =
 struct ServiceStats {
   std::size_t uploads_completed = 0;
   std::size_t uploads_rejected = 0;
+  /// The planners' crowdmap_videos_ingested_total: every decoded upload.
   std::size_t videos_decoded = 0;
   std::size_t decode_failures = 0;
+  /// The planners' crowdmap_trajectories_kept_total.
   std::size_t trajectories_extracted = 0;
   std::size_t trajectories_dropped = 0;  // summed over the floor planners
   /// Injected sensor dropouts applied before extraction (chaos runs only).
@@ -121,10 +124,6 @@ class CrowdMapService {
   [[nodiscard]] std::shared_ptr<const core::PipelineResult> latest_plan(
       const std::string& building, int floor) const CM_EXCLUDES(mutex_);
 
-  /// Cache reuse of the floor's most recent refresh (zeros before it).
-  [[nodiscard]] core::CacheReuseStats last_cache_reuse(
-      const std::string& building, int floor) const CM_EXCLUDES(mutex_);
-
   /// Admitted trajectories of one floor, sorted by video_id (the canonical
   /// refresh order). Call drain() first if extractions may be in flight.
   [[nodiscard]] std::vector<trajectory::Trajectory> trajectories(
@@ -162,29 +161,11 @@ class CrowdMapService {
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] const DocumentStore& store() const noexcept { return store_; }
 
-  /// Service-level metrics: per-upload ingest/decode/extract counters, the
-  /// task group's queue-depth gauge, extraction and task latency histograms,
-  /// and (shared with the planners) the admission, stage and cache metrics.
-  [[nodiscard]] obs::MetricsRegistry& metrics() const noexcept {
-    return *registry_;
-  }
-  [[nodiscard]] const std::shared_ptr<obs::MetricsRegistry>& metrics_registry()
-      const noexcept {
-    return registry_;
-  }
-
   /// The service-wide flight recorder: one set of rings behind ingest, the
   /// task group and every floor's planner. nullptr when
   /// config.flight.enabled == false.
   [[nodiscard]] obs::FlightRecorder* flight_recorder() noexcept {
     return flight_.get();
-  }
-
-  /// The SLO watchdog built from config.slo (nullptr when every threshold
-  /// is 0/disabled). Evaluated after each foreground build and each
-  /// background refresh; evaluate() it directly for an on-demand check.
-  [[nodiscard]] obs::SloWatchdog* slo_watchdog() noexcept {
-    return watchdog_.get();
   }
 
  private:
@@ -214,9 +195,7 @@ class CrowdMapService {
   std::shared_ptr<obs::MetricsRegistry> registry_;
   obs::Counter* uploads_completed_ = nullptr;
   obs::Counter* uploads_rejected_ = nullptr;
-  obs::Counter* videos_decoded_ = nullptr;
   obs::Counter* decode_failures_ = nullptr;
-  obs::Counter* trajectories_extracted_ = nullptr;
   obs::Counter* sensor_dropouts_ = nullptr;
   obs::Counter* cache_warmstart_rejected_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;

@@ -656,7 +656,6 @@ IncrementalPlanner::IncrementalPlanner(
     opts.ring_capacity = config_.flight.ring_capacity;
     opts.dump_on_anomaly = config_.flight.dump_on_anomaly;
     owned_flight_ = std::make_unique<obs::FlightRecorder>(opts);
-    owned_flight_->set_dump_on_anomaly(config_.flight.dump_on_anomaly);
     flight_ = owned_flight_.get();
   }
   if (config_.incremental.artifact_cache_bytes > 0) {
@@ -829,7 +828,6 @@ std::shared_ptr<const PipelineResult> IncrementalPlanner::refresh(
   {
     common::MutexLock lock(mutex_);
     latest_ = result;
-    last_reuse_ = result->diagnostics.cache;
   }
   return result;
 }
@@ -837,11 +835,6 @@ std::shared_ptr<const PipelineResult> IncrementalPlanner::refresh(
 std::shared_ptr<const PipelineResult> IncrementalPlanner::latest() const {
   common::MutexLock lock(mutex_);
   return latest_;
-}
-
-CacheReuseStats IncrementalPlanner::last_reuse() const {
-  common::MutexLock lock(mutex_);
-  return last_reuse_;
 }
 
 std::vector<trajectory::Trajectory> IncrementalPlanner::trajectories() const {

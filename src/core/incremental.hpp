@@ -75,9 +75,6 @@ class IncrementalPlanner {
   [[nodiscard]] std::shared_ptr<const PipelineResult> latest() const
       CM_EXCLUDES(mutex_);
 
-  /// Cache reuse of the most recent refresh (all zeros before the first).
-  [[nodiscard]] CacheReuseStats last_reuse() const CM_EXCLUDES(mutex_);
-
   /// Kept trajectories — the corpus plus the inbox, an inbox entry winning
   /// over a corpus entry with the same video_id — sorted by video_id (the
   /// order the stages read them in). Waits for a running refresh.
@@ -150,7 +147,6 @@ class IncrementalPlanner {
   /// Admissions since the last refresh, one per video_id, in arrival order.
   std::vector<Entry> inbox_ CM_GUARDED_BY(mutex_);
   std::shared_ptr<const PipelineResult> latest_ CM_GUARDED_BY(mutex_);
-  CacheReuseStats last_reuse_ CM_GUARDED_BY(mutex_);
 };
 
 }  // namespace crowdmap::core

@@ -85,7 +85,7 @@ ExperimentRun run_experiment(const DatasetSpec& dataset,
           << "storage checkpoint failed: " << status.error().message;
     }
   }
-  run.durability = client.durability_stats();
+  run.durability = client.stats().durability;
   return run;
 }
 

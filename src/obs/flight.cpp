@@ -246,8 +246,7 @@ void FlightRecorder::record_armed(FlightEventKind kind, std::uint32_t detail,
   slot[4].store(b, std::memory_order_relaxed);
   // Publish: a dumper that sees head >= h also sees the words above.
   ring->head.store(head + 1, std::memory_order_release);
-  if (kind_is_anomaly(kind) &&
-      dump_on_anomaly_.load(std::memory_order_relaxed)) {
+  if (options_.dump_on_anomaly && kind_is_anomaly(kind)) {
     maybe_anomaly_dump(kind);
   }
 }

@@ -173,9 +173,6 @@ class FlightRecorder {
   using DumpSink =
       std::function<void(const FlightDump& dump, std::string_view reason)>;
   void set_dump_sink(DumpSink sink);
-  void set_dump_on_anomaly(bool enabled) noexcept {
-    dump_on_anomaly_.store(enabled, std::memory_order_relaxed);
-  }
 
   /// Dump-on-demand through the sink (no-op without one). Not counted
   /// against the anomaly-dump budget.
@@ -218,7 +215,6 @@ class FlightRecorder {
   const std::uint64_t id_;  // process-unique; keys the thread-local cache
   const std::chrono::steady_clock::time_point epoch_;
   std::atomic<bool> armed_{true};
-  std::atomic<bool> dump_on_anomaly_{false};
   std::atomic<std::uint64_t> anomaly_dump_count_{0};
   common::LogicalClock clock_;
 

@@ -216,14 +216,15 @@ TEST(AnalyzeLayering, StorageSitsBelowCloudAndAboveCommon) {
 }
 
 TEST(AnalyzeLayering, ClusterSitsBetweenApiAndCloud) {
-  // The cluster router (PR 10) shares core's rank: the api facade may
-  // include it, it may include the cloud service it shards, and the cloud
-  // service must never reach back up into the router.
+  // The cluster module (hash ring, shard log) shares core's rank: the api
+  // router may include it, it may include the cloud documents it
+  // replicates, and cloud must never reach back up into it.
   const auto clean = run({
-      {"src/api/v2.hpp", "#pragma once\n#include \"cluster/cluster.hpp\"\n"},
-      {"src/cluster/cluster.hpp",
-       "#pragma once\n#include \"cloud/service.hpp\"\n"},
-      {"src/cloud/service.hpp", "#pragma once\n"},
+      {"src/api/v2.hpp",
+       "#pragma once\n#include \"cluster/replication.hpp\"\n"},
+      {"src/cluster/replication.hpp",
+       "#pragma once\n#include \"cloud/docstore.hpp\"\n"},
+      {"src/cloud/docstore.hpp", "#pragma once\n"},
   });
   EXPECT_FALSE(has_rule(clean, "layering-upward"));
 

@@ -75,6 +75,49 @@ TEST(Api, SubmissionOrderDoesNotChangeThePlan) {
             plan_rev.result.degradation.to_string());
 }
 
+TEST(Api, BuildingsSharingVideoIdsMatchSeparateClients) {
+  // Upload ids ("video-<id>") are unique per floor only: two buildings whose
+  // campaigns both number their videos 0..5 must not decode each other's
+  // videos. The membership change makes the joining node replay every
+  // upload after both campaigns landed, so a collision cannot hide behind
+  // extraction timing.
+  const auto campaign = [](std::uint64_t seed, const std::string& building) {
+    auto videos = tiny_campaign(seed);
+    videos.resize(std::min<std::size_t>(videos.size(), 6));
+    for (std::size_t i = 0; i < videos.size(); ++i) {
+      videos[i].building = building;
+      videos[i].video_id = static_cast<int>(i);
+    }
+    return videos;
+  };
+  const auto a = campaign(910, "A");
+  const auto b = campaign(911, "B");
+  ASSERT_EQ(a.size(), 6u);
+  ASSERT_EQ(b.size(), 6u);
+
+  const auto build = [](ap::Client& client, const cs::SensorRichVideo& video) {
+    return plan_bytes(
+        client.build_plan({video.building, video.floor, std::nullopt, {}})
+            .result);
+  };
+  const auto alone = [&](const std::vector<cs::SensorRichVideo>& videos) {
+    auto client = make_client();
+    for (const auto& video : videos) {
+      EXPECT_TRUE(client.submit_video(video).status.ok());
+    }
+    return build(client, videos.front());
+  };
+
+  auto shared = make_client();
+  for (const auto& video : a) ASSERT_TRUE(shared.submit_video(video).status.ok());
+  for (const auto& video : b) ASSERT_TRUE(shared.submit_video(video).status.ok());
+  shared.drain();
+  (void)shared.add_node();
+  ASSERT_TRUE(shared.remove_node(0));
+  EXPECT_EQ(build(shared, a.front()), alone(a));
+  EXPECT_EQ(build(shared, b.front()), alone(b));
+}
+
 TEST(Api, IncrementalRefreshMatchesColdRebuildByteForByte) {
   const auto videos = tiny_campaign(811);
   ASSERT_GE(videos.size(), 2u);

@@ -1,9 +1,9 @@
-// Tests for crowdmap::cluster — the sharded multi-node simulation: hash-ring
-// routing, the CMWL-framed shard replication log, and the determinism
-// contract the whole design exists for: serialized FloorPlans are
-// byte-identical across node counts and failure schedules (crash, partition,
-// duplicate delivery), at any parallel.threads (docs/CLUSTER.md).
-// Every node shares the cluster's one worker pool through its own task group,
+// Tests for the cluster router behind api::Client — hash-ring routing, the
+// CMWL-framed shard replication log, and the determinism contract the whole
+// design exists for: serialized FloorPlans are byte-identical across node
+// counts and failure schedules (crash, partition, duplicate delivery), at
+// any parallel.threads (docs/CLUSTER.md).
+// Every node shares the client's one worker pool through its own task group,
 // so one node's backlog is its own (Cluster.RealBacklogShedsOnlyTheLoadedNode).
 #include <gtest/gtest.h>
 
@@ -11,14 +11,12 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
-#include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.hpp"
+#include "api/v2.hpp"
 #include "cluster/hash_ring.hpp"
 #include "cluster/replication.hpp"
 #include "common/fault.hpp"
@@ -28,6 +26,7 @@
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
 
+namespace ap = crowdmap::api;
 namespace cl = crowdmap::cluster;
 namespace cc = crowdmap::common;
 namespace co = crowdmap::core;
@@ -63,53 +62,35 @@ std::vector<cs::SensorRichVideo> tiny_campaign(std::uint64_t seed) {
   return out;
 }
 
-using VideoTable = std::map<std::string, cs::SensorRichVideo>;
-
-/// Cluster-wide side-table decoder, the same shape api::v2 uses.
-cd::VideoDecoder table_decoder(std::shared_ptr<VideoTable> table) {
-  return [table = std::move(table)](const cd::Document& doc)
-             -> std::optional<cs::SensorRichVideo> {
-    const auto it = table->find(doc.id);
-    if (it == table->end()) return std::nullopt;
-    return it->second;
-  };
-}
-
-cl::ClusterOptions make_options(std::shared_ptr<VideoTable> table,
-                                std::size_t nodes, std::size_t threads,
-                                const cc::FaultPlan& faults = {}) {
-  cl::ClusterOptions options;
+ap::ClientOptions make_options(std::size_t nodes, std::size_t threads,
+                               const cc::FaultPlan& faults = {}) {
+  ap::ClientOptions options;
   options.config = co::PipelineConfig::fast_profile();
   options.config.cluster.nodes = nodes;
   options.config.faults = faults;
-  options.decoder = table_decoder(std::move(table));
   options.config.parallel.threads = threads;
   return options;
 }
 
-std::string run_campaign(const std::vector<cs::SensorRichVideo>& videos,
-                         cl::Cluster& cluster) {
-  const std::string building = videos.front().building;
-  const int floor = videos.front().floor;
-  for (const auto& video : videos) {
-    const auto ticket = cluster.submit_upload(
-        "video-" + std::to_string(video.video_id), video.building, video.floor,
-        crowdmap::sensors::encode_imu(video.imu));
-    EXPECT_EQ(ticket.outcome, cl::SubmitOutcome::kAccepted);
-    EXPECT_GT(ticket.seqno, 0u);
-  }
-  const auto result = cluster.build_floor_plan(building, floor);
+std::string plan_bytes(const co::PipelineResult& result) {
   const auto bytes = fp::encode_floorplan(result.plan);
   return std::string(bytes.begin(), bytes.end());
 }
 
-std::shared_ptr<VideoTable> make_table(
-    const std::vector<cs::SensorRichVideo>& videos) {
-  auto table = std::make_shared<VideoTable>();
+std::string build(ap::Client& client, const cs::SensorRichVideo& video) {
+  return plan_bytes(
+      client.build_plan({video.building, video.floor, std::nullopt, {}})
+          .result);
+}
+
+std::string run_campaign(const std::vector<cs::SensorRichVideo>& videos,
+                         ap::Client& client) {
   for (const auto& video : videos) {
-    (*table)["video-" + std::to_string(video.video_id)] = video;
+    const auto response = client.submit_video(video);
+    EXPECT_TRUE(response.status.ok()) << response.status.message;
+    EXPECT_GT(response.seqno, 0u);
   }
-  return table;
+  return build(client, videos.front());
 }
 
 /// On divergence, keep both serialized plans so CI uploads them as
@@ -221,8 +202,8 @@ TEST(ClusterDeterminism, PlansAreByteIdenticalAcrossNodesFaultsAndWorkers) {
   // Reference: one node, no faults.
   std::string reference;
   {
-    cl::Cluster cluster(make_options(make_table(videos), 1, 2));
-    reference = run_campaign(videos, cluster);
+    ap::Client client(make_options(1, 2));
+    reference = run_campaign(videos, client);
   }
   ASSERT_FALSE(reference.empty());
 
@@ -236,9 +217,8 @@ TEST(ClusterDeterminism, PlansAreByteIdenticalAcrossNodesFaultsAndWorkers) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         auto plan = cc::parse_fault_plan(chaos_seed() + ":" + spec);
         ASSERT_TRUE(plan.ok());
-        cl::Cluster cluster(
-            make_options(make_table(videos), nodes, threads, plan.value()));
-        const std::string actual = run_campaign(videos, cluster);
+        ap::Client client(make_options(nodes, threads, plan.value()));
+        const std::string actual = run_campaign(videos, client);
         const std::string label = name + "-n" + std::to_string(nodes) + "-w" +
                                   std::to_string(threads);
         if (actual != reference) dump_divergence(label, reference, actual);
@@ -257,18 +237,18 @@ TEST(ClusterDeterminism, InjectedFaultsActuallyFire) {
   {
     auto plan = cc::parse_fault_plan(chaos_seed() + ":cluster.node_crash=0.3");
     ASSERT_TRUE(plan.ok());
-    cl::Cluster cluster(make_options(make_table(videos), 3, 1, plan.value()));
-    (void)run_campaign(videos, cluster);
-    EXPECT_GT(cluster.metrics().value("crowdmap_cluster_node_crashes_total"),
+    ap::Client client(make_options(3, 1, plan.value()));
+    (void)run_campaign(videos, client);
+    EXPECT_GT(client.metrics().value("crowdmap_cluster_node_crashes_total"),
               0.0);
   }
   {
     auto plan = cc::parse_fault_plan(chaos_seed() + ":cluster.replication_duplicate=0.6");
     ASSERT_TRUE(plan.ok());
-    cl::Cluster cluster(make_options(make_table(videos), 3, 1, plan.value()));
-    (void)run_campaign(videos, cluster);
+    ap::Client client(make_options(3, 1, plan.value()));
+    (void)run_campaign(videos, client);
     EXPECT_GT(
-        cluster.metrics().value("crowdmap_cluster_replication_duplicates_total"),
+        client.metrics().value("crowdmap_cluster_replication_duplicates_total"),
         0.0);
   }
 }
@@ -277,28 +257,28 @@ TEST(ClusterDeterminism, DelayedReplicationConvergesOnDrain) {
   const auto videos = tiny_campaign(911);
   auto plan = cc::parse_fault_plan(chaos_seed() + ":cluster.replication_delay=1.0");
   ASSERT_TRUE(plan.ok());
-  auto options = make_options(make_table(videos), 3, 1, plan.value());
+  auto options = make_options(3, 1, plan.value());
   options.config.cluster.replication_factor = 3;
-  cl::Cluster cluster(std::move(options));
+  ap::Client client(std::move(options));
 
   const std::string reference = [&] {
-    cl::Cluster single(make_options(make_table(videos), 1, 2));
+    ap::Client single(make_options(1, 2));
     return run_campaign(videos, single);
   }();
-  EXPECT_EQ(run_campaign(videos, cluster), reference);
-  EXPECT_GT(cluster.metrics().value(
+  EXPECT_EQ(run_campaign(videos, client), reference);
+  EXPECT_GT(client.metrics().value(
                 "crowdmap_cluster_replication_delayed_total"),
             0.0);
 
   // After drain, every parked delivery has landed: all three replicas hold
   // the full committed upload set.
-  cluster.drain();
+  client.drain();
   const auto view =
-      cluster.shard_of(videos.front().building, videos.front().floor);
+      client.shard_of(videos.front().building, videos.front().floor);
   ASSERT_EQ(view.replicas.size(), 3u);
   for (const std::size_t node : view.replicas) {
     for (const auto& video : videos) {
-      EXPECT_TRUE(cluster.document_store(node)
+      EXPECT_TRUE(client.document_store(node)
                       .get("video-" + std::to_string(video.video_id))
                       .has_value())
           << "node " << node << " missing a committed upload after drain";
@@ -310,48 +290,77 @@ TEST(ClusterDeterminism, DelayedReplicationConvergesOnDrain) {
 
 TEST(Cluster, DirectSubmitToANonPrimaryIsRefusedAsWrongShard) {
   const auto videos = tiny_campaign(912);
-  cl::Cluster cluster(make_options(make_table(videos), 3, 1));
+  ap::Client client(make_options(3, 1));
   const auto& video = videos.front();
-  const auto view = cluster.shard_of(video.building, video.floor);
+  const auto view = client.shard_of(video.building, video.floor);
   std::size_t wrong = 0;
   while (wrong == view.primary) ++wrong;
 
-  const auto payload = crowdmap::sensors::encode_imu(video.imu);
-  const std::string id = "video-" + std::to_string(video.video_id);
-  const auto refused =
-      cluster.submit_upload_to(wrong, id, video.building, video.floor, payload);
-  EXPECT_EQ(refused.outcome, cl::SubmitOutcome::kWrongShard);
-  EXPECT_EQ(refused.node, view.primary) << "ticket names the right node";
-  EXPECT_EQ(cluster.metrics().value("crowdmap_cluster_wrong_shard_total"), 1.0);
+  ap::SubmitUploadRequest request;
+  request.upload_id = "video-" + std::to_string(video.video_id);
+  request.building = video.building;
+  request.floor = video.floor;
+  request.payload = crowdmap::sensors::encode_imu(video.imu);
+  const auto refused = client.submit_upload_to(wrong, request);
+  EXPECT_EQ(refused.status.code, ap::StatusCode::kWrongShard);
+  EXPECT_EQ(refused.node, view.primary) << "response names the right node";
+  EXPECT_EQ(client.metrics().value("crowdmap_cluster_wrong_shard_total"),
+            1.0);
 
-  const auto accepted = cluster.submit_upload_to(view.primary, id,
-                                                 video.building, video.floor,
-                                                 payload);
-  EXPECT_EQ(accepted.outcome, cl::SubmitOutcome::kAccepted);
+  const auto accepted = client.submit_upload_to(view.primary, request);
+  EXPECT_TRUE(accepted.status.ok());
+  EXPECT_EQ(accepted.seqno, 1u) << "the refusal committed nothing";
 }
 
 TEST(Cluster, OverloadedPrimaryShedsUploads) {
-  const auto videos = tiny_campaign(913);
-  auto options = make_options(make_table(videos), 2, 1);
-  options.config.cluster.max_node_queue = 4;
-  cl::Cluster cluster(std::move(options));
+  // One node on a one-worker pool, and a decoder whose first call blocks:
+  // later uploads queue behind it until the primary's backlog exceeds
+  // max_node_queue and the next upload is shed before it reaches the log.
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::atomic<bool> first{true};
+  auto options = make_options(1, 1);
+  options.config.cluster.max_node_queue = 1;
+  // submit_upload() registers nothing, so every decode lands here.
+  options.decoder = [&entered, &first, gate = release.get_future().share()](
+                        const cd::Document&)
+      -> std::optional<cs::SensorRichVideo> {
+    if (first.exchange(false)) {
+      entered.set_value();
+      gate.wait();
+    }
+    return std::nullopt;
+  };
+  ap::Client client(std::move(options));
 
-  const auto& video = videos.front();
-  const auto view = cluster.shard_of(video.building, video.floor);
-  // Backpressure reads the service's own queue-depth gauge; registration is
-  // idempotent, so the test grabs the same handle and simulates a backlog.
-  cluster.node_registry(view.primary)
-      ->gauge("crowdmap_worker_queue_depth", {},
-              "Extraction tasks waiting in the pool")
-      .set(100.0);
+  int uploads = 0;
+  const auto submit = [&] {
+    ap::SubmitUploadRequest request;
+    request.upload_id = "upload-" + std::to_string(uploads++);
+    request.building = "bldg";
+    request.payload = cd::Blob(64, 0x5A);
+    return client.submit_upload(request);
+  };
 
-  const auto shed = cluster.submit_upload(
-      "video-" + std::to_string(video.video_id), video.building, video.floor,
-      crowdmap::sensors::encode_imu(video.imu));
-  EXPECT_EQ(shed.outcome, cl::SubmitOutcome::kShedding);
+  ASSERT_TRUE(submit().status.ok());
+  entered.get_future().wait();  // the first upload holds the one worker
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(submit().status.ok());
+
+  // Two queued tasks exceed max_node_queue = 1.
+  const auto shed = submit();
+  EXPECT_EQ(shed.status.code, ap::StatusCode::kShedding);
+  EXPECT_FALSE(shed.status.message.empty());
+  EXPECT_EQ(shed.node, 0u) << "the response names the loaded primary";
   EXPECT_EQ(shed.seqno, 0u) << "a shed upload must not reach the shard log";
-  EXPECT_EQ(cluster.metrics().value("crowdmap_cluster_sheds_total"), 1.0);
-  EXPECT_EQ(cluster.shard_log_head(video.building, video.floor), 0u);
+  EXPECT_EQ(client.metrics().value("crowdmap_cluster_sheds_total"), 1.0);
+
+  release.set_value();
+  client.drain();
+  // The shard log holds the three accepted uploads and not the shed one, so
+  // the next accepted upload commits as the fourth record.
+  const auto next = submit();
+  ASSERT_TRUE(next.status.ok());
+  EXPECT_EQ(next.seqno, 4u);
 }
 
 TEST(Cluster, RealBacklogShedsOnlyTheLoadedNode) {
@@ -362,12 +371,10 @@ TEST(Cluster, RealBacklogShedsOnlyTheLoadedNode) {
   std::promise<void> entered;
   std::promise<void> release;
   std::atomic<bool> first{true};
-  cl::ClusterOptions options;
-  options.config = co::PipelineConfig::fast_profile();
-  options.config.cluster.nodes = 2;
+  auto options = make_options(2, 1);
   options.config.cluster.replication_factor = 1;
   options.config.cluster.max_node_queue = 2;
-  options.config.parallel.threads = 1;
+  // submit_upload() registers nothing, so every decode lands here.
   options.decoder = [&entered, &first, gate = release.get_future().share()](
                         const cd::Document&)
       -> std::optional<cs::SensorRichVideo> {
@@ -377,72 +384,76 @@ TEST(Cluster, RealBacklogShedsOnlyTheLoadedNode) {
     }
     return std::nullopt;
   };
-  cl::Cluster cluster(std::move(options));
+  ap::Client client(std::move(options));
 
   std::string building_on[2];
   for (int i = 0; building_on[0].empty() || building_on[1].empty(); ++i) {
     const std::string building = "bldg-" + std::to_string(i);
-    std::string& slot = building_on[cluster.shard_of(building, 1).primary];
+    std::string& slot = building_on[client.shard_of(building, 1).primary];
     if (slot.empty()) slot = building;
   }
-  const cd::Blob payload(64, 0x5A);
   int uploads = 0;
   const auto submit = [&](std::size_t node) {
-    return cluster
-        .submit_upload("upload-" + std::to_string(uploads++),
-                       building_on[node], 1, payload)
-        .outcome;
+    ap::SubmitUploadRequest request;
+    request.upload_id = "upload-" + std::to_string(uploads++);
+    request.building = building_on[node];
+    request.payload = cd::Blob(64, 0x5A);
+    return client.submit_upload(request).status.code;
   };
   const auto depth = [&](std::size_t node) {
-    return cluster.metrics().value("crowdmap_worker_queue_depth",
-                                   {{"node", cluster.node_name(node)}});
+    return client.metrics().value("crowdmap_worker_queue_depth",
+                                  {{"node", client.node_name(node)}});
   };
 
-  ASSERT_EQ(submit(0), cl::SubmitOutcome::kAccepted);
+  ASSERT_EQ(submit(0), ap::StatusCode::kOk);
   entered.get_future().wait();  // node 0's first upload holds the one worker
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(submit(0), cl::SubmitOutcome::kAccepted);
-  }
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_EQ(submit(1), cl::SubmitOutcome::kAccepted);
-  }
+  for (int i = 0; i < 3; ++i) ASSERT_EQ(submit(0), ap::StatusCode::kOk);
+  for (int i = 0; i < 2; ++i) ASSERT_EQ(submit(1), ap::StatusCode::kOk);
   EXPECT_EQ(depth(0), 3.0);
   EXPECT_EQ(depth(1), 2.0);
 
   // max_node_queue = 2 sits just below node 0's depth and at node 1's.
-  EXPECT_EQ(submit(0), cl::SubmitOutcome::kShedding);
-  EXPECT_EQ(submit(1), cl::SubmitOutcome::kAccepted);
+  EXPECT_EQ(submit(0), ap::StatusCode::kShedding);
+  EXPECT_EQ(submit(1), ap::StatusCode::kOk);
   EXPECT_EQ(depth(0), 3.0);
   EXPECT_EQ(depth(1), 3.0);
-  EXPECT_EQ(cluster.metrics().value("crowdmap_cluster_sheds_total"), 1.0);
+  EXPECT_EQ(client.metrics().value("crowdmap_cluster_sheds_total"), 1.0);
 
   release.set_value();
-  cluster.drain();
+  client.drain();
   EXPECT_EQ(depth(0), 0.0);
   EXPECT_EQ(depth(1), 0.0);
-  EXPECT_EQ(cluster.stats().decode_failures, 7u);
+  EXPECT_EQ(client.stats().decode_failures, 7u);
 }
 
 TEST(Cluster, ExpiredDeadlinesAreRejectedAtAdmission) {
   const auto videos = tiny_campaign(914);
   const auto& video = videos.front();
-  const auto payload = crowdmap::sensors::encode_imu(video.imu);
-  cl::Cluster cluster(make_options(make_table(videos), 1, 1));
+  ap::Client client(make_options(1, 1));
+  ap::SubmitUploadRequest request;
+  request.building = video.building;
+  request.floor = video.floor;
+  request.payload = crowdmap::sensors::encode_imu(video.imu);
 
   // A generous deadline admits; each routed request advances the clock.
-  const auto early = cluster.submit_upload("video-early", video.building,
-                                           video.floor, payload,
-                                           /*deadline=*/100);
-  EXPECT_EQ(early.outcome, cl::SubmitOutcome::kAccepted);
-  ASSERT_GE(cluster.now_tick(), 1u);
+  request.upload_id = "video-early";
+  request.options.deadline_tick = 100;
+  EXPECT_TRUE(client.submit_upload(request).status.ok());
+  ASSERT_GE(client.now_tick(), 1u);
 
-  const auto late = cluster.submit_upload("video-late", video.building,
-                                          video.floor, payload,
-                                          /*deadline=*/1);
-  EXPECT_EQ(late.outcome, cl::SubmitOutcome::kDeadlineExceeded);
+  request.upload_id = "video-late";
+  request.options.deadline_tick = 1;
+  const auto late = client.submit_upload(request);
+  EXPECT_EQ(late.status.code, ap::StatusCode::kDeadlineExceeded);
   EXPECT_EQ(late.seqno, 0u);
-  EXPECT_EQ(cluster.shard_log_head(video.building, video.floor), 1u)
-      << "the late upload must not have been committed";
+
+  // The late upload was never committed: the next accepted upload is the
+  // shard log's second record.
+  request.upload_id = "video-next";
+  request.options.deadline_tick = 0;
+  const auto next = client.submit_upload(request);
+  ASSERT_TRUE(next.status.ok());
+  EXPECT_EQ(next.seqno, 2u);
 }
 
 // ------------------------------------------------------- membership ---
@@ -451,55 +462,58 @@ TEST(Cluster, MembershipChangesRebalanceAndPreservePlanBytes) {
   const auto videos = tiny_campaign(915);
   ASSERT_GE(videos.size(), 4u);
   const std::string reference = [&] {
-    cl::Cluster single(make_options(make_table(videos), 1, 2));
+    ap::Client single(make_options(1, 2));
     return run_campaign(videos, single);
   }();
 
-  cl::Cluster cluster(make_options(make_table(videos), 1, 2));
+  ap::Client client(make_options(1, 2));
   const std::size_t half = videos.size() / 2;
-  auto submit = [&](const cs::SensorRichVideo& video) {
-    const auto ticket = cluster.submit_upload(
-        "video-" + std::to_string(video.video_id), video.building, video.floor,
-        crowdmap::sensors::encode_imu(video.imu));
-    ASSERT_EQ(ticket.outcome, cl::SubmitOutcome::kAccepted);
-  };
-  for (std::size_t i = 0; i < half; ++i) submit(videos[i]);
+  for (std::size_t i = 0; i < half; ++i) {
+    ASSERT_TRUE(client.submit_video(videos[i]).status.ok());
+  }
 
   // Join: re-homed shards are eagerly resynced (RF=2 over 2 nodes means the
   // new node must receive every committed record).
-  const std::size_t joined = cluster.add_node();
-  EXPECT_EQ(cluster.node_count(), 2u);
-  EXPECT_GT(cluster.metrics().value("crowdmap_cluster_rebalance_moves_total"),
+  const std::size_t joined = client.add_node();
+  EXPECT_EQ(client.nodes(), 2u);
+  EXPECT_GT(client.metrics().value("crowdmap_cluster_rebalance_moves_total"),
             0.0);
-  for (std::size_t i = half; i < videos.size(); ++i) submit(videos[i]);
+  for (std::size_t i = half; i < videos.size(); ++i) {
+    ASSERT_TRUE(client.submit_video(videos[i]).status.ok());
+  }
 
   // Leave: the survivor resyncs anything it did not own and serves alone.
-  ASSERT_TRUE(cluster.remove_node(0));
-  EXPECT_FALSE(cluster.remove_node(joined)) << "refuses to empty the ring";
-  EXPECT_EQ(cluster.node_count(), 1u);
-
-  const auto result =
-      cluster.build_floor_plan(videos.front().building, videos.front().floor);
-  const auto bytes = fp::encode_floorplan(result.plan);
-  EXPECT_EQ(std::string(bytes.begin(), bytes.end()), reference);
+  ASSERT_TRUE(client.remove_node(0));
+  EXPECT_FALSE(client.remove_node(joined)) << "refuses to empty the ring";
+  EXPECT_EQ(client.nodes(), 1u);
+  EXPECT_EQ(build(client, videos.front()), reference);
 }
 
 TEST(Cluster, ShardLogSegmentsShipAndReplayByteForByte) {
+  // Seqnos are dense, and every committed record ships to the replica and
+  // replays through its front door: both nodes of the shard end up holding
+  // each upload's document byte for byte.
   const auto videos = tiny_campaign(916);
-  cl::Cluster cluster(make_options(make_table(videos), 2, 1));
-  (void)run_campaign(videos, cluster);
-  const auto& front = videos.front();
-  const auto head = cluster.shard_log_head(front.building, front.floor);
-  EXPECT_EQ(head, videos.size());
-
-  const auto segment = cluster.shard_log_segment(front.building, front.floor);
-  const auto replayed = cl::ReplicationLog::replay(segment);
-  ASSERT_TRUE(replayed.ok());
-  ASSERT_EQ(replayed.value().size(), head);
-  // Every shipped record decodes back to a committed upload document.
-  std::set<std::string> ids;
-  for (const auto& bytes : replayed.value()) {
-    ids.insert(cl::decode_record(bytes).id);
+  ap::Client client(make_options(2, 1));
+  std::uint64_t seqno = 0;
+  for (const auto& video : videos) {
+    const auto response = client.submit_video(video);
+    ASSERT_TRUE(response.status.ok());
+    EXPECT_EQ(response.seqno, ++seqno);
   }
-  EXPECT_EQ(ids.size(), videos.size());
+  client.drain();
+
+  const auto& front = videos.front();
+  const auto view = client.shard_of(front.building, front.floor);
+  ASSERT_EQ(view.replicas.size(), 2u);
+  for (const std::size_t node : view.replicas) {
+    for (const auto& video : videos) {
+      const auto doc = client.document_store(node).get(
+          "video-" + std::to_string(video.video_id));
+      ASSERT_TRUE(doc.has_value()) << "node " << node;
+      EXPECT_EQ(doc->building, video.building);
+      EXPECT_EQ(doc->floor, video.floor);
+      EXPECT_EQ(doc->payload, crowdmap::sensors::encode_imu(video.imu));
+    }
+  }
 }

@@ -176,7 +176,6 @@ TEST(Flight, AnomalyDumpsAreBudgetedAndDumpNowIsNot) {
   options.dump_on_anomaly = true;
   options.max_anomaly_dumps = 2;
   obs::FlightRecorder flight(options);
-  flight.set_dump_on_anomaly(true);
   int dumps = 0;
   std::vector<std::string> reasons;
   flight.set_dump_sink([&](const obs::FlightDump&, std::string_view reason) {
@@ -201,6 +200,20 @@ TEST(Flight, AnomalyDumpsAreBudgetedAndDumpNowIsNot) {
   EXPECT_EQ(dumps, 3);
   EXPECT_EQ(reasons.back(), "operator");
   EXPECT_EQ(flight.anomaly_dumps(), 2u);
+}
+
+TEST(Flight, DumpOnAnomalyOptionAloneArmsDumps) {
+  // The option is the only switch: a recorder built with it, as the node
+  // services and the router build theirs, dumps with no further call.
+  obs::FlightOptions options;
+  options.dump_on_anomaly = true;
+  obs::FlightRecorder flight(options);
+  int dumps = 0;
+  flight.set_dump_sink(
+      [&](const obs::FlightDump&, std::string_view) { ++dumps; });
+  flight.record_named(FlightEventKind::kFaultFired, 0, "cluster.partition");
+  EXPECT_EQ(dumps, 1);
+  EXPECT_EQ(flight.anomaly_dumps(), 1u);
 }
 
 // ---------------------------------------------------- planner contracts ---

@@ -410,7 +410,6 @@ TEST(Slo, WatchdogBreachIncrementsCounterAndRecordsFlightEvent) {
     ++dumps;
     last_reason = std::string(reason);
   });
-  flight.set_dump_on_anomaly(true);
 
   auto& h = registry->histogram("lat_seconds", {},
                                 obs::Histogram::default_latency_buckets(),

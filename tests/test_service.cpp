@@ -80,7 +80,8 @@ TEST(Service, StatsMatchMetricsRegistry) {
   client.drain();
 
   // stats() is a view over the registry, so the two must agree exactly.
-  // metrics() labels every node series with its node name.
+  // metrics() labels every node series with its node name. Decodes and kept
+  // extractions are the planners' admission series.
   const crowdmap::obs::Labels node0{{"node", "node-0"}};
   const auto stats = client.stats();
   const auto snap = client.metrics();
@@ -89,12 +90,17 @@ TEST(Service, StatsMatchMetricsRegistry) {
   };
   EXPECT_EQ(stats.uploads_completed, count("crowdmap_uploads_completed_total"));
   EXPECT_EQ(stats.uploads_rejected, count("crowdmap_uploads_rejected_total"));
-  EXPECT_EQ(stats.videos_decoded, count("crowdmap_videos_decoded_total"));
+  EXPECT_EQ(stats.videos_decoded, count("crowdmap_videos_ingested_total"));
+  EXPECT_EQ(stats.videos_decoded, videos.size());
   EXPECT_EQ(stats.decode_failures, count("crowdmap_decode_failures_total"));
   EXPECT_EQ(stats.trajectories_extracted,
-            count("crowdmap_trajectories_extracted_total"));
+            count("crowdmap_trajectories_kept_total"));
   EXPECT_EQ(stats.trajectories_dropped,
             count("crowdmap_trajectories_dropped_total"));
+  EXPECT_EQ(stats.trajectories_extracted + stats.trajectories_dropped,
+            stats.videos_decoded);
+  EXPECT_FALSE(snap.has("crowdmap_videos_decoded_total", node0));
+  EXPECT_FALSE(snap.has("crowdmap_trajectories_extracted_total", node0));
 
   // The extraction histogram saw one observation per decoded video, and the
   // drained pool leaves the queue-depth gauge at zero.
@@ -103,6 +109,32 @@ TEST(Service, StatsMatchMetricsRegistry) {
   ASSERT_EQ(extract->series.size(), 1u);
   EXPECT_EQ(extract->series[0].histogram.count, stats.videos_decoded);
   EXPECT_DOUBLE_EQ(snap.value("crowdmap_worker_queue_depth", node0), 0.0);
+}
+
+TEST(Service, SloConfigArmsTheNodeWatchdog) {
+  // slo.* keys build a watchdog in each node's service, evaluated after every
+  // build. A p99 bound far below any real refresh breaches on the first one.
+  const crowdmap::obs::Labels series{{"slo", "plan_refresh_p99_ms"},
+                                     {"node", "node-0"}};
+  const auto videos = small_campaign(707);
+  const auto build_once = [&](double threshold_ms) {
+    ap::ClientOptions options;
+    options.config = co::PipelineConfig::fast_profile();
+    options.config.slo.plan_refresh_p99_ms = threshold_ms;
+    ap::Client client(std::move(options));
+    for (const auto& video : videos) (void)client.submit_video(video);
+    return client
+        .build_plan({videos.front().building, videos.front().floor,
+                     std::nullopt, {}})
+        .metrics;
+  };
+
+  const auto armed = build_once(0.001);
+  ASSERT_TRUE(armed.has("crowdmap_slo_breaches_total", series));
+  EXPECT_EQ(armed.value("crowdmap_slo_breaches_total", series), 1.0);
+
+  const auto disarmed = build_once(0.0);
+  EXPECT_FALSE(disarmed.has("crowdmap_slo_breaches_total", series));
 }
 
 TEST(Service, ArtifactCacheCountersSurfaceInStatsAndMetrics) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -251,6 +252,28 @@ void run_roofline() {
   roofline_case("weighted_accumulate_f32", kN, kN * 16, 200, [&] {
     simd::weighted_accumulate_f32(d.data(), c.data(), a.data(), kN);
     benchmark::DoNotOptimize(d.data());
+  });
+  roofline_case("dot3_f32", kN, kN * 8, 200, [&] {
+    const auto s = simd::dot3_f32(a.data(), b.data(), kN);
+    benchmark::DoNotOptimize(s.ab + s.aa + s.bb);
+  });
+  roofline_case("normalize_by_weight_f32", kN, kN * 12, 200, [&] {
+    simd::normalize_by_weight_f32(d.data(), a.data(), c.data(), kN);
+    benchmark::DoNotOptimize(d.data());
+  });
+
+  // SURF's 9x9 Hessian over one 1024-position row of an integral table; the
+  // filter reads 10 table rows around y.
+  constexpr int kRow = 1024;
+  constexpr std::size_t kStride = kRow + 16;
+  std::vector<double> table(kStride * 24);
+  for (double& v : table) v = rng.uniform(0.0, 1.0);
+  std::vector<double> det(kRow);
+  std::vector<std::uint8_t> lap(kRow);
+  roofline_case("hessian_row_f64", kRow, kStride * 10 * 8, 2000, [&] {
+    simd::hessian_row_f64(table.data(), kStride, 8, 8, kRow, 9, det.data(),
+                          lap.data());
+    benchmark::DoNotOptimize(det.data());
   });
 
   // The matcher inner loop: one query against a 512-descriptor SoA block.

@@ -210,14 +210,6 @@ std::size_t Client::acting_primary_locked(const FloorKey& key,
   return acting;
 }
 
-cluster::ReplicationLog& Client::log_for_locked(const FloorKey& key) {
-  auto it = logs_.find(key);
-  if (it == logs_.end()) {
-    it = logs_.emplace(key, cluster::ReplicationLog(floor_hash(key))).first;
-  }
-  return it->second;
-}
-
 std::size_t Client::sync_node_locked(std::size_t index,
                                      const FloorKey& key) const {
   const auto it = logs_.find(key);
@@ -282,7 +274,7 @@ std::uint64_t Client::commit_upload_locked(std::size_t primary,
                                            const FloorKey& key,
                                            const cloud::Document& doc,
                                            std::uint64_t epoch) {
-  cluster::ReplicationLog& log = log_for_locked(key);
+  cluster::ReplicationLog& log = logs_[key];
   const std::uint64_t seqno = log.append(cluster::encode_record(doc));
   // The acting primary ingested this document through the front door, so its
   // watermark advances without a replay — but only when it was actually in

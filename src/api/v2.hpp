@@ -350,8 +350,6 @@ class Client {
                                                   std::uint64_t epoch) const
       CM_REQUIRES(router_mutex_);
 
-  cluster::ReplicationLog& log_for_locked(const FloorKey& key)
-      CM_REQUIRES(router_mutex_);
   /// Replays the shard log through the node's front door until its applied
   /// watermark reaches the head. Returns records replayed. const: a read
   /// path resyncs its serving node (nodes are held by pointer).

@@ -2,9 +2,6 @@
 
 #include <utility>
 
-#include "storage/crc32c.hpp"
-#include "storage/wal.hpp"
-
 namespace crowdmap::cluster {
 
 io::Bytes encode_record(const cloud::Document& doc) {
@@ -49,38 +46,13 @@ cloud::Document decode_record(const io::Bytes& bytes) {
   return doc;
 }
 
-ReplicationLog::ReplicationLog(std::uint64_t shard_id) {
-  io::Writer header;
-  header.u32(storage::kWalMagic);
-  header.u32(storage::kWalVersion);
-  header.u64(shard_id);
-  segment_ = std::move(header).take();
-}
-
 std::uint64_t ReplicationLog::append(io::Bytes record) {
-  io::Writer frame;
-  frame.u32(static_cast<std::uint32_t>(record.size()));
-  frame.u32(storage::crc32c(record));
-  frame.bytes_raw(record);
-  const io::Bytes framed = std::move(frame).take();
-  segment_.insert(segment_.end(), framed.begin(), framed.end());
   records_.push_back(std::move(record));
   return records_.size();
 }
 
 const io::Bytes& ReplicationLog::record(std::uint64_t seqno) const {
   return records_.at(seqno - 1);
-}
-
-common::Expected<std::vector<io::Bytes>> ReplicationLog::replay(
-    const io::Bytes& segment) {
-  auto scan = storage::scan_segment(segment);
-  if (!scan.ok()) return scan.error();
-  if (!scan.value().clean) {
-    return common::make_error("cluster.replication_damage",
-                              "shipped shard segment has damaged frames");
-  }
-  return std::move(scan).take().records;
 }
 
 }  // namespace crowdmap::cluster

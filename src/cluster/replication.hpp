@@ -1,19 +1,14 @@
 // Deterministic shard replication log (docs/CLUSTER.md): the authoritative,
 // append-only record of every committed upload of one (building, floor)
-// shard. Records are framed with PR 9's CMWL WAL framing — the 16-byte
-// [magic][version][seqno] segment header followed by [u32 len][u32 crc32c]
-// [payload] frames — so the same storage::scan_segment() that recovers
-// durable segments replays a shipped shard, and a replica's copy is
-// verifiable byte-for-byte. Seqnos are 1-based and dense: head() is both
-// the record count and the newest seqno, and a node's per-shard applied
-// watermark is a single integer.
+// shard, each record a CMRR-encoded document. Seqnos are 1-based and dense:
+// head() is both the record count and the newest seqno, and a node's
+// per-shard applied watermark is a single integer.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "cloud/docstore.hpp"
-#include "common/expected.hpp"
 #include "io/serialize.hpp"
 
 namespace crowdmap::cluster {
@@ -31,11 +26,7 @@ inline constexpr std::uint8_t kRecordVersion = 1;
 
 class ReplicationLog {
  public:
-  /// `shard_id` seeds the CMWL segment header's seqno field, tying shipped
-  /// segment bytes to their shard identity.
-  explicit ReplicationLog(std::uint64_t shard_id);
-
-  /// Frames and appends one record; returns its 1-based seqno.
+  /// Appends one record; returns its 1-based seqno.
   std::uint64_t append(io::Bytes record);
 
   [[nodiscard]] std::uint64_t head() const noexcept { return records_.size(); }
@@ -43,18 +34,7 @@ class ReplicationLog {
   /// Record bytes by 1-based seqno (seqno must be in [1, head()]).
   [[nodiscard]] const io::Bytes& record(std::uint64_t seqno) const;
 
-  /// The full CMWL segment (header + every frame) — the bytes a primary
-  /// ships to a catching-up replica.
-  [[nodiscard]] const io::Bytes& segment() const noexcept { return segment_; }
-
-  /// Replays a shipped segment through storage::scan_segment. Unlike crash
-  /// recovery, replication transport is not allowed to tear: any damaged
-  /// frame is an error (code "cluster.replication_damage").
-  [[nodiscard]] static common::Expected<std::vector<io::Bytes>> replay(
-      const io::Bytes& segment);
-
  private:
-  io::Bytes segment_;
   std::vector<io::Bytes> records_;
 };
 

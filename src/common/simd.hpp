@@ -1,35 +1,36 @@
 // Portable SIMD wrapper. Every vectorized hot path in the codebase goes
-// through this header instead of raw intrinsics — the `raw-intrinsics` lint
-// rule rejects <immintrin.h>/<arm_neon.h> anywhere else.
+// through this header instead of raw intrinsics — the `raw-intrinsics`
+// analyzer rule rejects <immintrin.h> anywhere but src/common/simd.*.
 //
 // Design contract:
 //
-//  * ONE backend is selected at compile time — AVX2, SSE2, NEON (aarch64) or
-//    scalar — via -DCROWDMAP_SIMD=AUTO|OFF|SSE2|AVX2|NEON (CMake translates
-//    the option into the CROWDMAP_SIMD_* defines honored below; AUTO picks
-//    the best backend the target ISA advertises). There is no runtime
-//    multi-versioning: capability_report() exists so operators can check a
-//    binary against the fleet's CPUs, and set_force_scalar() routes every
-//    kernel through the scalar reference inside a running process (one
-//    binary, both paths — tests/test_simd.cpp and the roofline bench in
-//    bench/micro_vision.cpp rely on that switch).
+//  * One build, two paths, chosen at run time. The kernels are written once,
+//    in simd_kernels.inc, over a lane type, and compiled twice: inline below
+//    over the scalar lane types (F32x8S / F64x4S, the reference semantics),
+//    and in simd.cpp over AVX2 lane types inside a target("avx2") region, so
+//    every x86-64 build carries both with no ISA build flag. Each public
+//    kernel makes one branch and then a direct call: AVX2 when cpuid
+//    reported it at load time and set_force_scalar() is off, the scalar
+//    path otherwise (and on every CPU without AVX2, aarch64 included).
+//    capability_report() names the path that runs; set_force_scalar()
+//    (config key simd.force_scalar) lets one process run and cross-check
+//    both — tests/test_simd.cpp and the roofline bench in
+//    bench/micro_vision.cpp rely on it.
 //
-//  * Bit-exact determinism, scalar vs SIMD, on every backend. Reductions pin
-//    their floating-point evaluation order to a fixed LOGICAL lane layout
-//    that is independent of the physical register width:
+//  * Bit-exact determinism, scalar vs AVX2. Reductions pin their
+//    floating-point evaluation order to a fixed LOGICAL lane layout that is
+//    independent of the physical register width:
 //      - f64 reductions over float input run kF64Lanes = 4 logical lanes;
 //        lane l accumulates elements l, l+4, l+8, ... in index order; lanes
 //        combine as ((l0 + l2) + (l1 + l3)); the n % 4 tail is summed
 //        sequentially into a separate accumulator and added last.
 //      - elementwise kernels evaluate the same expression tree per element
-//        in every backend, using only IEEE-exact operations (+ - * / min max
-//        sqrt) — never hardware FMA, rcp or rsqrt approximations. CMake also
-//        pins -ffp-contract=off so a scalar `a * b + c` cannot silently
-//        contract into an FMA on ISAs that have one.
-//    The scalar lane types (F32x8S / F64x4S) are the semantic reference; the
-//    intrinsic types implement the identical layout, and the shared kernel
-//    templates below are instantiated with either, so both paths execute the
-//    same op sequence. tests/test_simd.cpp additionally checks every kernel
+//        on both paths, using only IEEE-exact operations (+ - * / min max
+//        sqrt) — never hardware FMA, rcp or rsqrt approximations. The AVX2
+//        target names no `fma`, and CMake pins -ffp-contract=off so a scalar
+//        `a * b + c` cannot silently contract into an FMA.
+//    Both paths execute the same kernel bodies, so they run the same op
+//    sequence; tests/test_simd.cpp additionally checks every kernel
 //    lane-by-lane against independent plain-loop references.
 #pragma once
 
@@ -43,73 +44,31 @@
 #include <limits>
 #include <string>
 
-// ---------------------------------------------------------------------------
-// Backend selection. CMake defines at most one CROWDMAP_SIMD_* request macro;
-// with none present (plain compiler invocations, e.g. the lint tool build)
-// AUTO applies and the target ISA decides.
-//   CROWDMAP_SIMD_BACKEND: 0 = scalar, 1 = SSE2, 2 = AVX2, 3 = NEON
-// ---------------------------------------------------------------------------
-#if defined(CROWDMAP_SIMD_OFF)
-#define CROWDMAP_SIMD_BACKEND 0
-#elif defined(CROWDMAP_SIMD_FORCE_AVX2)
-#if !defined(__AVX2__)
-#error "CROWDMAP_SIMD=AVX2 requires compiling with -mavx2"
-#endif
-#define CROWDMAP_SIMD_BACKEND 2
-#elif defined(CROWDMAP_SIMD_FORCE_SSE2)
-#if !defined(__SSE2__) && !defined(_M_X64)
-#error "CROWDMAP_SIMD=SSE2 requires an x86 target with SSE2"
-#endif
-#define CROWDMAP_SIMD_BACKEND 1
-#elif defined(CROWDMAP_SIMD_FORCE_NEON)
-#if !defined(__aarch64__)
-#error "CROWDMAP_SIMD=NEON requires an aarch64 target (f64 NEON lanes)"
-#endif
-#define CROWDMAP_SIMD_BACKEND 3
-#elif defined(__AVX2__)
-#define CROWDMAP_SIMD_BACKEND 2
-#elif defined(__SSE2__) || defined(_M_X64)
-#define CROWDMAP_SIMD_BACKEND 1
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-#define CROWDMAP_SIMD_BACKEND 3
-#else
-#define CROWDMAP_SIMD_BACKEND 0
-#endif
-
-#if CROWDMAP_SIMD_BACKEND == 1 || CROWDMAP_SIMD_BACKEND == 2
-#include <immintrin.h>
-#elif CROWDMAP_SIMD_BACKEND == 3
-#include <arm_neon.h>
-#endif
-
 namespace crowdmap::common::simd {
 
 inline constexpr std::size_t kF32Lanes = 8;  // logical f32 lane count
 inline constexpr std::size_t kF64Lanes = 4;  // logical f64 lane count
 
-enum class Backend { kScalar = 0, kSse2 = 1, kAvx2 = 2, kNeon = 3 };
+/// Largest candidate tile nearest2_soa_f32 accepts.
+inline constexpr std::size_t kMaxMatchTile = 256;
 
-[[nodiscard]] constexpr Backend compiled_backend() noexcept {
-  return static_cast<Backend>(CROWDMAP_SIMD_BACKEND);
-}
+enum class Backend { kScalar, kAvx2 };
 
-[[nodiscard]] const char* backend_name(Backend b) noexcept;
-
-/// True when the CPU this process runs on can execute the given backend.
-/// Purely informational — the backend is fixed at compile time.
-[[nodiscard]] bool runtime_cpu_supports(Backend b) noexcept;
-
-/// One-line "compiled=... active=... cpu:..." summary for logs and the CLI.
+/// One line, "active=<backend> cpu: avx2=<yes|no>", for logs, the CLI and
+/// bench metadata (no quotes or backslashes, so it embeds in JSON as is).
 [[nodiscard]] std::string capability_report();
 
 namespace detail {
 inline std::atomic<bool> g_force_scalar{false};
-inline std::atomic<std::size_t> g_match_tile{64};
+/// True when the CPU executes AVX2. simd.cpp probes cpuid once while the
+/// program loads; until then it reads false, which selects the scalar path
+/// and so is always a correct answer.
+extern const bool g_cpu_avx2;
 }  // namespace detail
 
-/// Route every dispatched kernel through the scalar reference path. Process
-/// wide; results are bit-identical either way — this exists so one binary
-/// can measure and cross-check both paths (config key `simd.force_scalar`).
+/// Route every kernel through the scalar reference path. Process wide;
+/// results are bit-identical either way — this exists so one binary can
+/// measure and cross-check both paths (config key `simd.force_scalar`).
 inline void set_force_scalar(bool on) noexcept {
   detail::g_force_scalar.store(on, std::memory_order_relaxed);
 }
@@ -117,29 +76,50 @@ inline void set_force_scalar(bool on) noexcept {
   return detail::g_force_scalar.load(std::memory_order_relaxed);
 }
 
-/// Backend the dispatched kernels will actually run.
+namespace detail {
+/// The branch every kernel takes: AVX2 unless the CPU lacks it or
+/// force_scalar() is set.
+[[nodiscard]] inline bool use_avx2() noexcept {
+  return g_cpu_avx2 && !force_scalar();
+}
+}  // namespace detail
+
+/// Backend the kernels will actually run.
 [[nodiscard]] inline Backend active_backend() noexcept {
-  return force_scalar() ? Backend::kScalar : compiled_backend();
+  return detail::use_avx2() ? Backend::kAvx2 : Backend::kScalar;
 }
 
-inline constexpr std::size_t kMaxMatchTile = 256;
+/// Three simultaneous reductions for cosine similarity: Σab, Σa², Σb².
+struct Dot3 {
+  double ab = 0.0;
+  double aa = 0.0;
+  double bb = 0.0;
+};
 
-/// Candidate tile width for the blocked SoA nearest-neighbor scan
-/// (`nearest2_soa_f32`). Result-invariant tunable: any multiple of 8 in
-/// [8, kMaxMatchTile] produces bit-identical matches (see the early-exit
-/// proof at nearest2_soa_f32). Config key `simd.match_tile`.
-inline void set_match_tile(std::size_t tile) noexcept {
-  tile = tile - tile % kF32Lanes;
-  if (tile < kF32Lanes) tile = kF32Lanes;
-  if (tile > kMaxMatchTile) tile = kMaxMatchTile;
-  detail::g_match_tile.store(tile, std::memory_order_relaxed);
-}
-[[nodiscard]] inline std::size_t match_tile() noexcept {
-  return detail::g_match_tile.load(std::memory_order_relaxed);
-}
+/// The three NCC sums over mean-subtracted values:
+///   num = Σ (a-ma)(b-mb), da = Σ (a-ma)², db = Σ (b-mb)².
+struct NccSums {
+  double num = 0.0;
+  double da = 0.0;
+  double db = 0.0;
+};
+
+/// An extreme value and the first index attaining it.
+struct IndexValue {
+  std::size_t index = 0;
+  float value = 0.0f;
+};
+
+/// Nearest and second-nearest squared distances over an SoA block.
+/// best == count means "no candidate" (count == 0).
+struct NearestTwo {
+  std::size_t best = 0;
+  float best_d2 = std::numeric_limits<float>::max();
+  float second_d2 = std::numeric_limits<float>::max();
+};
 
 // ---------------------------------------------------------------------------
-// Lane types. The scalar pair is the reference semantics; each backend pair
+// Scalar lane types: the reference semantics. simd.cpp's AVX2 pair
 // implements the identical logical layout. Comparisons produce all-ones /
 // all-zero bit masks in the value type; vselect() is a pure bit blend.
 // ---------------------------------------------------------------------------
@@ -224,18 +204,6 @@ inline F32x8S vxor(F32x8S a, F32x8S b) noexcept {
   }
   return r;
 }
-/// Horizontal min/max — float min/max is exact, so any combine order gives
-/// the same value (inputs must be NaN-free).
-inline float hmin(F32x8S a) noexcept {
-  float m = a.v[0];
-  for (int i = 1; i < 8; ++i) m = a.v[i] < m ? a.v[i] : m;
-  return m;
-}
-inline float hmax(F32x8S a) noexcept {
-  float m = a.v[0];
-  for (int i = 1; i < 8; ++i) m = m < a.v[i] ? a.v[i] : m;
-  return m;
-}
 
 struct F64x4S {
   std::array<double, 4> v;
@@ -286,663 +254,12 @@ inline F64x4S vmin(F64x4S a, F64x4S b) noexcept {
   return a;
 }
 
-#if CROWDMAP_SIMD_BACKEND == 1  // ----------------------------------- SSE2
-
-struct F32x8V {
-  __m128 lo, hi;
-  static F32x8V load(const float* p) noexcept {
-    return {_mm_loadu_ps(p), _mm_loadu_ps(p + 4)};
-  }
-  void store(float* p) const noexcept {
-    _mm_storeu_ps(p, lo);
-    _mm_storeu_ps(p + 4, hi);
-  }
-  static F32x8V broadcast(float x) noexcept {
-    return {_mm_set1_ps(x), _mm_set1_ps(x)};
-  }
-  static F32x8V zero() noexcept { return {_mm_setzero_ps(), _mm_setzero_ps()}; }
-};
-
-inline F32x8V operator+(F32x8V a, F32x8V b) noexcept {
-  return {_mm_add_ps(a.lo, b.lo), _mm_add_ps(a.hi, b.hi)};
-}
-inline F32x8V operator-(F32x8V a, F32x8V b) noexcept {
-  return {_mm_sub_ps(a.lo, b.lo), _mm_sub_ps(a.hi, b.hi)};
-}
-inline F32x8V operator*(F32x8V a, F32x8V b) noexcept {
-  return {_mm_mul_ps(a.lo, b.lo), _mm_mul_ps(a.hi, b.hi)};
-}
-inline F32x8V operator/(F32x8V a, F32x8V b) noexcept {
-  return {_mm_div_ps(a.lo, b.lo), _mm_div_ps(a.hi, b.hi)};
-}
-inline F32x8V vmin(F32x8V a, F32x8V b) noexcept {
-  return {_mm_min_ps(b.lo, a.lo), _mm_min_ps(b.hi, a.hi)};
-}
-inline F32x8V vmax(F32x8V a, F32x8V b) noexcept {
-  return {_mm_max_ps(a.lo, b.lo), _mm_max_ps(a.hi, b.hi)};
-}
-inline F32x8V vsqrt(F32x8V a) noexcept {
-  return {_mm_sqrt_ps(a.lo), _mm_sqrt_ps(a.hi)};
-}
-inline F32x8V vabs(F32x8V a) noexcept {
-  const __m128 m = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-  return {_mm_and_ps(a.lo, m), _mm_and_ps(a.hi, m)};
-}
-inline F32x8V cmp_gt(F32x8V a, F32x8V b) noexcept {
-  return {_mm_cmpgt_ps(a.lo, b.lo), _mm_cmpgt_ps(a.hi, b.hi)};
-}
-inline F32x8V cmp_lt(F32x8V a, F32x8V b) noexcept { return cmp_gt(b, a); }
-inline F32x8V vselect(F32x8V mask, F32x8V a, F32x8V b) noexcept {
-  return {_mm_or_ps(_mm_and_ps(mask.lo, a.lo), _mm_andnot_ps(mask.lo, b.lo)),
-          _mm_or_ps(_mm_and_ps(mask.hi, a.hi), _mm_andnot_ps(mask.hi, b.hi))};
-}
-inline F32x8V vxor(F32x8V a, F32x8V b) noexcept {
-  return {_mm_xor_ps(a.lo, b.lo), _mm_xor_ps(a.hi, b.hi)};
-}
-inline float hmin(F32x8V a) noexcept {
-  __m128 m = _mm_min_ps(a.lo, a.hi);
-  m = _mm_min_ps(m, _mm_movehl_ps(m, m));
-  m = _mm_min_ss(m, _mm_shuffle_ps(m, m, 0x55));
-  return _mm_cvtss_f32(m);
-}
-inline float hmax(F32x8V a) noexcept {
-  __m128 m = _mm_max_ps(a.lo, a.hi);
-  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
-  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 0x55));
-  return _mm_cvtss_f32(m);
-}
-
-struct F64x4V {
-  __m128d lo, hi;  // logical lanes (l0, l1) and (l2, l3)
-  static F64x4V zero() noexcept {
-    return {_mm_setzero_pd(), _mm_setzero_pd()};
-  }
-  static F64x4V broadcast(double x) noexcept {
-    return {_mm_set1_pd(x), _mm_set1_pd(x)};
-  }
-  static F64x4V load(const double* p) noexcept {
-    return {_mm_loadu_pd(p), _mm_loadu_pd(p + 2)};
-  }
-  void store(double* p) const noexcept {
-    _mm_storeu_pd(p, lo);
-    _mm_storeu_pd(p + 2, hi);
-  }
-  static F64x4V from_f32(const float* p) noexcept {
-    const __m128 f = _mm_loadu_ps(p);
-    return {_mm_cvtps_pd(f), _mm_cvtps_pd(_mm_movehl_ps(f, f))};
-  }
-  [[nodiscard]] double reduce() const noexcept {
-    // (l0 + l2, l1 + l3), then low + high: ((l0 + l2) + (l1 + l3)).
-    const __m128d s = _mm_add_pd(lo, hi);
-    return _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
-  }
-};
-
-inline F64x4V operator+(F64x4V a, F64x4V b) noexcept {
-  return {_mm_add_pd(a.lo, b.lo), _mm_add_pd(a.hi, b.hi)};
-}
-inline F64x4V operator-(F64x4V a, F64x4V b) noexcept {
-  return {_mm_sub_pd(a.lo, b.lo), _mm_sub_pd(a.hi, b.hi)};
-}
-inline F64x4V operator*(F64x4V a, F64x4V b) noexcept {
-  return {_mm_mul_pd(a.lo, b.lo), _mm_mul_pd(a.hi, b.hi)};
-}
-inline F64x4V operator/(F64x4V a, F64x4V b) noexcept {
-  return {_mm_div_pd(a.lo, b.lo), _mm_div_pd(a.hi, b.hi)};
-}
-inline F64x4V vmin(F64x4V a, F64x4V b) noexcept {
-  return {_mm_min_pd(b.lo, a.lo), _mm_min_pd(b.hi, a.hi)};
-}
-
-#elif CROWDMAP_SIMD_BACKEND == 2  // --------------------------------- AVX2
-
-struct F32x8V {
-  __m256 v;
-  static F32x8V load(const float* p) noexcept { return {_mm256_loadu_ps(p)}; }
-  void store(float* p) const noexcept { _mm256_storeu_ps(p, v); }
-  static F32x8V broadcast(float x) noexcept { return {_mm256_set1_ps(x)}; }
-  static F32x8V zero() noexcept { return {_mm256_setzero_ps()}; }
-};
-
-inline F32x8V operator+(F32x8V a, F32x8V b) noexcept {
-  return {_mm256_add_ps(a.v, b.v)};
-}
-inline F32x8V operator-(F32x8V a, F32x8V b) noexcept {
-  return {_mm256_sub_ps(a.v, b.v)};
-}
-inline F32x8V operator*(F32x8V a, F32x8V b) noexcept {
-  return {_mm256_mul_ps(a.v, b.v)};
-}
-inline F32x8V operator/(F32x8V a, F32x8V b) noexcept {
-  return {_mm256_div_ps(a.v, b.v)};
-}
-inline F32x8V vmin(F32x8V a, F32x8V b) noexcept {
-  return {_mm256_min_ps(b.v, a.v)};
-}
-inline F32x8V vmax(F32x8V a, F32x8V b) noexcept {
-  return {_mm256_max_ps(a.v, b.v)};
-}
-inline F32x8V vsqrt(F32x8V a) noexcept { return {_mm256_sqrt_ps(a.v)}; }
-inline F32x8V vabs(F32x8V a) noexcept {
-  return {_mm256_and_ps(a.v, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff)))};
-}
-inline F32x8V cmp_gt(F32x8V a, F32x8V b) noexcept {
-  return {_mm256_cmp_ps(a.v, b.v, _CMP_GT_OQ)};
-}
-inline F32x8V cmp_lt(F32x8V a, F32x8V b) noexcept { return cmp_gt(b, a); }
-inline F32x8V vselect(F32x8V mask, F32x8V a, F32x8V b) noexcept {
-  return {_mm256_blendv_ps(b.v, a.v, mask.v)};
-}
-inline F32x8V vxor(F32x8V a, F32x8V b) noexcept {
-  return {_mm256_xor_ps(a.v, b.v)};
-}
-inline float hmin(F32x8V a) noexcept {
-  __m128 m = _mm_min_ps(_mm256_castps256_ps128(a.v),
-                        _mm256_extractf128_ps(a.v, 1));
-  m = _mm_min_ps(m, _mm_movehl_ps(m, m));
-  m = _mm_min_ss(m, _mm_shuffle_ps(m, m, 0x55));
-  return _mm_cvtss_f32(m);
-}
-inline float hmax(F32x8V a) noexcept {
-  __m128 m = _mm_max_ps(_mm256_castps256_ps128(a.v),
-                        _mm256_extractf128_ps(a.v, 1));
-  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
-  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 0x55));
-  return _mm_cvtss_f32(m);
-}
-
-struct F64x4V {
-  __m256d v;  // logical lanes (l0, l1, l2, l3)
-  static F64x4V zero() noexcept { return {_mm256_setzero_pd()}; }
-  static F64x4V broadcast(double x) noexcept { return {_mm256_set1_pd(x)}; }
-  static F64x4V load(const double* p) noexcept {
-    return {_mm256_loadu_pd(p)};
-  }
-  void store(double* p) const noexcept { _mm256_storeu_pd(p, v); }
-  static F64x4V from_f32(const float* p) noexcept {
-    return {_mm256_cvtps_pd(_mm_loadu_ps(p))};
-  }
-  [[nodiscard]] double reduce() const noexcept {
-    // Same combine as SSE2: (l0 + l2, l1 + l3), then low + high.
-    const __m128d s =
-        _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
-    return _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
-  }
-};
-
-inline F64x4V operator+(F64x4V a, F64x4V b) noexcept {
-  return {_mm256_add_pd(a.v, b.v)};
-}
-inline F64x4V operator-(F64x4V a, F64x4V b) noexcept {
-  return {_mm256_sub_pd(a.v, b.v)};
-}
-inline F64x4V operator*(F64x4V a, F64x4V b) noexcept {
-  return {_mm256_mul_pd(a.v, b.v)};
-}
-inline F64x4V operator/(F64x4V a, F64x4V b) noexcept {
-  return {_mm256_div_pd(a.v, b.v)};
-}
-inline F64x4V vmin(F64x4V a, F64x4V b) noexcept {
-  return {_mm256_min_pd(b.v, a.v)};
-}
-
-#elif CROWDMAP_SIMD_BACKEND == 3  // --------------------------------- NEON
-
-struct F32x8V {
-  float32x4_t lo, hi;
-  static F32x8V load(const float* p) noexcept {
-    return {vld1q_f32(p), vld1q_f32(p + 4)};
-  }
-  void store(float* p) const noexcept {
-    vst1q_f32(p, lo);
-    vst1q_f32(p + 4, hi);
-  }
-  static F32x8V broadcast(float x) noexcept {
-    return {vdupq_n_f32(x), vdupq_n_f32(x)};
-  }
-  static F32x8V zero() noexcept {
-    return {vdupq_n_f32(0.0f), vdupq_n_f32(0.0f)};
-  }
-};
-
-inline F32x8V operator+(F32x8V a, F32x8V b) noexcept {
-  return {vaddq_f32(a.lo, b.lo), vaddq_f32(a.hi, b.hi)};
-}
-inline F32x8V operator-(F32x8V a, F32x8V b) noexcept {
-  return {vsubq_f32(a.lo, b.lo), vsubq_f32(a.hi, b.hi)};
-}
-inline F32x8V operator*(F32x8V a, F32x8V b) noexcept {
-  return {vmulq_f32(a.lo, b.lo), vmulq_f32(a.hi, b.hi)};
-}
-inline F32x8V operator/(F32x8V a, F32x8V b) noexcept {
-  return {vdivq_f32(a.lo, b.lo), vdivq_f32(a.hi, b.hi)};
-}
-inline F32x8V vmin(F32x8V a, F32x8V b) noexcept {
-  return {vminq_f32(b.lo, a.lo), vminq_f32(b.hi, a.hi)};
-}
-inline F32x8V vmax(F32x8V a, F32x8V b) noexcept {
-  return {vmaxq_f32(a.lo, b.lo), vmaxq_f32(a.hi, b.hi)};
-}
-inline F32x8V vsqrt(F32x8V a) noexcept {
-  return {vsqrtq_f32(a.lo), vsqrtq_f32(a.hi)};
-}
-inline F32x8V vabs(F32x8V a) noexcept {
-  return {vabsq_f32(a.lo), vabsq_f32(a.hi)};
-}
-inline F32x8V cmp_gt(F32x8V a, F32x8V b) noexcept {
-  return {vreinterpretq_f32_u32(vcgtq_f32(a.lo, b.lo)),
-          vreinterpretq_f32_u32(vcgtq_f32(a.hi, b.hi))};
-}
-inline F32x8V cmp_lt(F32x8V a, F32x8V b) noexcept { return cmp_gt(b, a); }
-inline F32x8V vselect(F32x8V mask, F32x8V a, F32x8V b) noexcept {
-  return {vbslq_f32(vreinterpretq_u32_f32(mask.lo), a.lo, b.lo),
-          vbslq_f32(vreinterpretq_u32_f32(mask.hi), a.hi, b.hi)};
-}
-inline F32x8V vxor(F32x8V a, F32x8V b) noexcept {
-  return {vreinterpretq_f32_u32(veorq_u32(vreinterpretq_u32_f32(a.lo),
-                                          vreinterpretq_u32_f32(b.lo))),
-          vreinterpretq_f32_u32(veorq_u32(vreinterpretq_u32_f32(a.hi),
-                                          vreinterpretq_u32_f32(b.hi)))};
-}
-inline float hmin(F32x8V a) noexcept {
-  return vminvq_f32(vminq_f32(a.lo, a.hi));
-}
-inline float hmax(F32x8V a) noexcept {
-  return vmaxvq_f32(vmaxq_f32(a.lo, a.hi));
-}
-
-struct F64x4V {
-  float64x2_t lo, hi;  // logical lanes (l0, l1) and (l2, l3)
-  static F64x4V zero() noexcept {
-    return {vdupq_n_f64(0.0), vdupq_n_f64(0.0)};
-  }
-  static F64x4V broadcast(double x) noexcept {
-    return {vdupq_n_f64(x), vdupq_n_f64(x)};
-  }
-  static F64x4V load(const double* p) noexcept {
-    return {vld1q_f64(p), vld1q_f64(p + 2)};
-  }
-  void store(double* p) const noexcept {
-    vst1q_f64(p, lo);
-    vst1q_f64(p + 2, hi);
-  }
-  static F64x4V from_f32(const float* p) noexcept {
-    return {vcvt_f64_f32(vld1_f32(p)), vcvt_f64_f32(vld1_f32(p + 2))};
-  }
-  [[nodiscard]] double reduce() const noexcept {
-    const float64x2_t s = vaddq_f64(lo, hi);
-    return vgetq_lane_f64(s, 0) + vgetq_lane_f64(s, 1);
-  }
-};
-
-inline F64x4V operator+(F64x4V a, F64x4V b) noexcept {
-  return {vaddq_f64(a.lo, b.lo), vaddq_f64(a.hi, b.hi)};
-}
-inline F64x4V operator-(F64x4V a, F64x4V b) noexcept {
-  return {vsubq_f64(a.lo, b.lo), vsubq_f64(a.hi, b.hi)};
-}
-inline F64x4V operator*(F64x4V a, F64x4V b) noexcept {
-  return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)};
-}
-inline F64x4V operator/(F64x4V a, F64x4V b) noexcept {
-  return {vdivq_f64(a.lo, b.lo), vdivq_f64(a.hi, b.hi)};
-}
-inline F64x4V vmin(F64x4V a, F64x4V b) noexcept {
-  return {vminq_f64(b.lo, a.lo), vminq_f64(b.hi, a.hi)};
-}
-
-#endif  // CROWDMAP_SIMD_BACKEND
-
-#if CROWDMAP_SIMD_BACKEND == 0
-using F32x8V = F32x8S;  // scalar build: both paths are the reference types
-using F64x4V = F64x4S;
-#endif
-
-/// Tag types for dispatch(): `typename Tag::f32x8` / `typename Tag::f64x4`.
-struct ScalarTag {
-  using f32x8 = F32x8S;
-  using f64x4 = F64x4S;
-};
-struct VectorTag {
-  using f32x8 = F32x8V;
-  using f64x4 = F64x4V;
-};
-
-/// Runs `fn` with the active lane types: fn(VectorTag{}) on the compiled
-/// backend, fn(ScalarTag{}) when the backend is scalar or force_scalar() is
-/// set. Both instantiations execute the same op sequence, so call sites that
-/// only use the lane-type API are bit-exact by construction.
-template <class Fn>
-decltype(auto) dispatch(Fn&& fn) {
-#if CROWDMAP_SIMD_BACKEND != 0
-  if (!force_scalar()) return fn(VectorTag{});
-#endif
-  return fn(ScalarTag{});
-}
-
-// ---------------------------------------------------------------------------
-// Reduction kernels (pinned 4-lane f64 layout; see the header comment).
-// ---------------------------------------------------------------------------
 
 namespace detail {
-
-template <class D4>
-double sum_f32_impl(const float* a, std::size_t n) {
-  D4 lanes = D4::zero();
-  std::size_t i = 0;
-  const std::size_t main_n = n - n % kF64Lanes;
-  for (; i < main_n; i += kF64Lanes) lanes = lanes + D4::from_f32(a + i);
-  double tail = 0.0;
-  for (; i < n; ++i) tail += static_cast<double>(a[i]);
-  return lanes.reduce() + tail;
-}
-
-template <class D4>
-double dot_f32_impl(const float* a, const float* b, std::size_t n) {
-  D4 lanes = D4::zero();
-  std::size_t i = 0;
-  const std::size_t main_n = n - n % kF64Lanes;
-  for (; i < main_n; i += kF64Lanes) {
-    const D4 prod = D4::from_f32(a + i) * D4::from_f32(b + i);
-    lanes = lanes + prod;
-  }
-  double tail = 0.0;
-  for (; i < n; ++i) {
-    const double prod = static_cast<double>(a[i]) * static_cast<double>(b[i]);
-    tail += prod;
-  }
-  return lanes.reduce() + tail;
-}
-
-template <class D4>
-double l2sq_f32_impl(const float* a, const float* b, std::size_t n) {
-  D4 lanes = D4::zero();
-  std::size_t i = 0;
-  const std::size_t main_n = n - n % kF64Lanes;
-  for (; i < main_n; i += kF64Lanes) {
-    const D4 diff = D4::from_f32(a + i) - D4::from_f32(b + i);
-    lanes = lanes + diff * diff;
-  }
-  double tail = 0.0;
-  for (; i < n; ++i) {
-    const double diff = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-    tail += diff * diff;
-  }
-  return lanes.reduce() + tail;
-}
-
-template <class D4>
-double sum_min_f32_impl(const float* a, const float* b, std::size_t n) {
-  // min computed after the (exact) widening — double(min(a, b)) ==
-  // min(double(a), double(b)), so this matches the float-domain reference.
-  D4 lanes = D4::zero();
-  std::size_t i = 0;
-  const std::size_t main_n = n - n % kF64Lanes;
-  for (; i < main_n; i += kF64Lanes) {
-    lanes = lanes + vmin(D4::from_f32(a + i), D4::from_f32(b + i));
-  }
-  double tail = 0.0;
-  for (; i < n; ++i) {
-    tail += static_cast<double>(a[i] < b[i] ? a[i] : b[i]);
-  }
-  return lanes.reduce() + tail;
-}
-
-}  // namespace detail
-
-/// Σ a[i] — 4-lane pinned order.
-inline double sum_f32(const float* a, std::size_t n) {
-  return dispatch([&](auto tag) {
-    return detail::sum_f32_impl<typename decltype(tag)::f64x4>(a, n);
-  });
-}
-
-/// Σ a[i]·b[i] — 4-lane pinned order, products formed in double.
-inline double dot_f32(const float* a, const float* b, std::size_t n) {
-  return dispatch([&](auto tag) {
-    return detail::dot_f32_impl<typename decltype(tag)::f64x4>(a, b, n);
-  });
-}
-
-/// Σ (a[i]-b[i])² — 4-lane pinned order, differences formed in double.
-inline double l2sq_f32(const float* a, const float* b, std::size_t n) {
-  return dispatch([&](auto tag) {
-    return detail::l2sq_f32_impl<typename decltype(tag)::f64x4>(a, b, n);
-  });
-}
-
-/// Σ min(a[i], b[i]) — histogram intersection; 4-lane pinned order.
-inline double sum_min_f32(const float* a, const float* b, std::size_t n) {
-  return dispatch([&](auto tag) {
-    return detail::sum_min_f32_impl<typename decltype(tag)::f64x4>(a, b, n);
-  });
-}
-
-/// Three simultaneous reductions for cosine similarity: Σab, Σa², Σb².
-struct Dot3 {
-  double ab = 0.0;
-  double aa = 0.0;
-  double bb = 0.0;
-};
-
-namespace detail {
-template <class D4>
-Dot3 dot3_f32_impl(const float* a, const float* b, std::size_t n) {
-  D4 lab = D4::zero();
-  D4 laa = D4::zero();
-  D4 lbb = D4::zero();
-  std::size_t i = 0;
-  const std::size_t main_n = n - n % kF64Lanes;
-  for (; i < main_n; i += kF64Lanes) {
-    const D4 va = D4::from_f32(a + i);
-    const D4 vb = D4::from_f32(b + i);
-    lab = lab + va * vb;
-    laa = laa + va * va;
-    lbb = lbb + vb * vb;
-  }
-  double tab = 0.0;
-  double taa = 0.0;
-  double tbb = 0.0;
-  for (; i < n; ++i) {
-    const double va = static_cast<double>(a[i]);
-    const double vb = static_cast<double>(b[i]);
-    tab += va * vb;
-    taa += va * va;
-    tbb += vb * vb;
-  }
-  return {lab.reduce() + tab, laa.reduce() + taa, lbb.reduce() + tbb};
-}
-}  // namespace detail
-
-inline Dot3 dot3_f32(const float* a, const float* b, std::size_t n) {
-  return dispatch([&](auto tag) {
-    return detail::dot3_f32_impl<typename decltype(tag)::f64x4>(a, b, n);
-  });
-}
-
-/// The three NCC sums over mean-subtracted values:
-///   num = Σ (a-ma)(b-mb), da = Σ (a-ma)², db = Σ (b-mb)².
-struct NccSums {
-  double num = 0.0;
-  double da = 0.0;
-  double db = 0.0;
-};
-
-namespace detail {
-template <class D4>
-NccSums ncc_accum_f32_impl(const float* a, const float* b, double mean_a,
-                           double mean_b, std::size_t n) {
-  const D4 ma = D4::broadcast(mean_a);
-  const D4 mb = D4::broadcast(mean_b);
-  D4 lnum = D4::zero();
-  D4 lda = D4::zero();
-  D4 ldb = D4::zero();
-  std::size_t i = 0;
-  const std::size_t main_n = n - n % kF64Lanes;
-  for (; i < main_n; i += kF64Lanes) {
-    const D4 va = D4::from_f32(a + i) - ma;
-    const D4 vb = D4::from_f32(b + i) - mb;
-    lnum = lnum + va * vb;
-    lda = lda + va * va;
-    ldb = ldb + vb * vb;
-  }
-  double tnum = 0.0;
-  double tda = 0.0;
-  double tdb = 0.0;
-  for (; i < n; ++i) {
-    const double va = static_cast<double>(a[i]) - mean_a;
-    const double vb = static_cast<double>(b[i]) - mean_b;
-    tnum += va * vb;
-    tda += va * va;
-    tdb += vb * vb;
-  }
-  return {lnum.reduce() + tnum, lda.reduce() + tda, ldb.reduce() + tdb};
-}
-}  // namespace detail
-
-inline NccSums ncc_accum_f32(const float* a, const float* b, double mean_a,
-                             double mean_b, std::size_t n) {
-  return dispatch([&](auto tag) {
-    return detail::ncc_accum_f32_impl<typename decltype(tag)::f64x4>(
-        a, b, mean_a, mean_b, n);
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Min / argmin. The result (extreme value, FIRST index attaining it) is a
-// pure function of the array — float min/max is exact — so the vectorized
-// two-pass form below and the canonical one-pass scalar scan agree bit-wise.
-// Inputs must be NaN-free. n must be > 0.
-// ---------------------------------------------------------------------------
-
-struct IndexValue {
-  std::size_t index = 0;
-  float value = 0.0f;
-};
-
-namespace detail {
-template <class V8, bool kMax>
-IndexValue argext_f32_impl(const float* a, std::size_t n) {
-  float best;
-  if (n >= kF32Lanes) {
-    V8 run = V8::load(a);
-    std::size_t i = kF32Lanes;
-    const std::size_t main_n = n - n % kF32Lanes;
-    for (; i < main_n; i += kF32Lanes) {
-      if constexpr (kMax) {
-        run = vmax(run, V8::load(a + i));
-      } else {
-        run = vmin(run, V8::load(a + i));
-      }
-    }
-    best = kMax ? hmax(run) : hmin(run);
-    for (; i < n; ++i) {
-      if (kMax ? best < a[i] : a[i] < best) best = a[i];
-    }
-  } else {
-    best = a[0];
-    for (std::size_t i = 1; i < n; ++i) {
-      if (kMax ? best < a[i] : a[i] < best) best = a[i];
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] == best) return {i, best};
-  }
-  return {0, best};  // unreachable for NaN-free input
-}
-
-template <bool kMax>
-IndexValue argext_f32_scalar(const float* a, std::size_t n) {
-  IndexValue out{0, a[0]};
-  for (std::size_t i = 1; i < n; ++i) {
-    if (kMax ? out.value < a[i] : a[i] < out.value) out = {i, a[i]};
-  }
-  return out;
-}
-}  // namespace detail
-
-/// Smallest value and the first index attaining it.
-inline IndexValue argmin_f32(const float* a, std::size_t n) {
-  assert(n > 0);
-#if CROWDMAP_SIMD_BACKEND != 0
-  if (!force_scalar()) return detail::argext_f32_impl<F32x8V, false>(a, n);
-#endif
-  return detail::argext_f32_scalar<false>(a, n);
-}
-
-/// Largest value and the first index attaining it.
-inline IndexValue argmax_f32(const float* a, std::size_t n) {
-  assert(n > 0);
-#if CROWDMAP_SIMD_BACKEND != 0
-  if (!force_scalar()) return detail::argext_f32_impl<F32x8V, true>(a, n);
-#endif
-  return detail::argext_f32_scalar<true>(a, n);
-}
-
-// ---------------------------------------------------------------------------
-// Elementwise kernels. Per-element expression trees are identical in every
-// backend, so outputs are bit-exact at any lane width by construction.
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-template <class V8>
-void weighted_accumulate_impl(float* acc_out, const float* w, const float* x,
-                              std::size_t n) {
-  std::size_t i = 0;
-  const std::size_t main_n = n - n % kF32Lanes;
-  for (; i < main_n; i += kF32Lanes) {
-    const V8 prod = V8::load(w + i) * V8::load(x + i);
-    const V8 r = V8::load(acc_out + i) + prod;
-    r.store(acc_out + i);
-  }
-  for (; i < n; ++i) {
-    const float prod = w[i] * x[i];
-    acc_out[i] = acc_out[i] + prod;
-  }
-}
-
-template <class V8>
-void normalize_by_weight_impl(float* out, const float* num, const float* den,
-                              std::size_t n) {
-  const V8 vzero = V8::zero();
-  const V8 vone = V8::broadcast(1.0f);
-  std::size_t i = 0;
-  const std::size_t main_n = n - n % kF32Lanes;
-  for (; i < main_n; i += kF32Lanes) {
-    const V8 d = V8::load(den + i);
-    const V8 mask = cmp_gt(d, vzero);
-    const V8 safe = vselect(mask, d, vone);
-    const V8 q = V8::load(num + i) / safe;
-    vselect(mask, q, vzero).store(out + i);
-  }
-  for (; i < n; ++i) {
-    out[i] = den[i] > 0.0f ? num[i] / den[i] : 0.0f;
-  }
-}
-
-template <class V8>
-void magnitude_impl(const float* gx, const float* gy, float* out,
-                    std::size_t n) {
-  std::size_t i = 0;
-  const std::size_t main_n = n - n % kF32Lanes;
-  for (; i < main_n; i += kF32Lanes) {
-    const V8 x = V8::load(gx + i);
-    const V8 y = V8::load(gy + i);
-    const V8 xx = x * x;
-    const V8 yy = y * y;
-    vsqrt(xx + yy).store(out + i);
-  }
-  for (; i < n; ++i) {
-    const float xx = gx[i] * gx[i];
-    const float yy = gy[i] * gy[i];
-    out[i] = std::sqrt(xx + yy);
-  }
-}
 
 // Degree-9 odd minimax polynomial for atan on [0, 1] (Abramowitz & Stegun
-// 4.4.49 coefficients; max error ~1e-5 rad). Evaluated with explicit
-// mul-then-add steps so every backend — and the scalar tail — runs the same
+// 4.4.49 coefficients; max error ~1e-5 rad). mag_angle_f32 evaluates it with
+// explicit mul-then-add steps, so both paths — and the tail — run the same
 // rounding sequence.
 inline constexpr float kAtanC0 = 0.9998660f;
 inline constexpr float kAtanC1 = -0.3302995f;
@@ -952,135 +269,161 @@ inline constexpr float kAtanC4 = 0.0208351f;
 inline constexpr float kHalfPi = 1.57079632679489662f;
 inline constexpr float kPi = 3.14159265358979324f;
 
-template <class V8>
-void mag_angle_impl(const float* gx, const float* gy, float* mag, float* ang,
-                    std::size_t n) {
-  const V8 vzero = V8::zero();
-  const V8 vone = V8::broadcast(1.0f);
-  const V8 vhalf_pi = V8::broadcast(kHalfPi);
-  const V8 vpi = V8::broadcast(kPi);
-  const V8 sign_bit = V8::broadcast(-0.0f);
-  std::size_t i = 0;
-  const std::size_t main_n = n - n % kF32Lanes;
-  const auto block = [&](const V8 x, const V8 y, float* mout, float* aout) {
-    const V8 xx = x * x;
-    const V8 yy = y * y;
-    vsqrt(xx + yy).store(mout);
-    const V8 ax = vabs(x);
-    const V8 ay = vabs(y);
-    const V8 mx = vmax(ax, ay);
-    const V8 mn = vmin(ax, ay);
-    const V8 den = vselect(cmp_gt(mx, vzero), mx, vone);
-    const V8 r = mn / den;
-    const V8 r2 = r * r;
-    V8 p = V8::broadcast(kAtanC4);
-    p = p * r2 + V8::broadcast(kAtanC3);
-    p = p * r2 + V8::broadcast(kAtanC2);
-    p = p * r2 + V8::broadcast(kAtanC1);
-    p = p * r2 + V8::broadcast(kAtanC0);
-    V8 angle = p * r;
-    angle = vselect(cmp_gt(ay, ax), vhalf_pi - angle, angle);
-    angle = vselect(cmp_lt(x, vzero), vpi - angle, angle);
-    // Copy y's sign: atan2 is odd in y. (±0 keeps the +quadrant result.)
-    const V8 neg = cmp_lt(y, vzero);
-    angle = vselect(neg, vxor(angle, sign_bit), angle);
-    angle.store(aout);
-  };
-  for (; i < main_n; i += kF32Lanes) {
-    block(V8::load(gx + i), V8::load(gy + i), mag + i, ang + i);
-  }
-  if (i < n) {
-    // Buffered tail: run the identical lane code on a padded copy so the
-    // tail cannot diverge from the vector body by a separately-written
-    // scalar expression.
-    float bx[kF32Lanes];
-    float by[kF32Lanes];
-    float bm[kF32Lanes];
-    float ba[kF32Lanes];
-    for (std::size_t k = 0; k < kF32Lanes; ++k) {
-      bx[k] = i + k < n ? gx[i + k] : 1.0f;
-      by[k] = i + k < n ? gy[i + k] : 0.0f;
-    }
-    block(V8::load(bx), V8::load(by), bm, ba);
-    for (std::size_t k = 0; i + k < n; ++k) {
-      mag[i + k] = bm[k];
-      ang[i + k] = ba[k];
-    }
-  }
-}
+/// The scalar reference instantiation of the kernels, inline.
+namespace scalar {
+using F32x8 = F32x8S;
+using F64x4 = F64x4S;
+#define CM_SIMD_KERNEL inline
+#include "common/simd_kernels.inc"
+#undef CM_SIMD_KERNEL
+}  // namespace scalar
 
-template <class V8>
-void sobel_row_impl(const float* top, const float* mid, const float* bot,
-                    float* gx, float* gy, std::size_t n) {
-  const V8 two = V8::broadcast(2.0f);
-  std::size_t i = 0;
-  const std::size_t main_n = n - n % kF32Lanes;
-  for (; i < main_n; i += kF32Lanes) {
-    const V8 tl = V8::load(top + i - 1);
-    const V8 tc = V8::load(top + i);
-    const V8 tr = V8::load(top + i + 1);
-    const V8 ml = V8::load(mid + i - 1);
-    const V8 mr = V8::load(mid + i + 1);
-    const V8 bl = V8::load(bot + i - 1);
-    const V8 bc = V8::load(bot + i);
-    const V8 br = V8::load(bot + i + 1);
-    // Same association as the scalar form: (r + 2*c + l-sum) groupings.
-    const V8 vx = ((tr + two * mr) + br) - ((tl + two * ml) + bl);
-    const V8 vy = ((bl + two * bc) + br) - ((tl + two * tc) + tr);
-    vx.store(gx + i);
-    vy.store(gy + i);
-  }
-  for (; i < n; ++i) {
-    const float tl = top[i - 1];
-    const float tc = top[i];
-    const float tr = top[i + 1];
-    const float ml = mid[i - 1];
-    const float mr = mid[i + 1];
-    const float bl = bot[i - 1];
-    const float bc = bot[i];
-    const float br = bot[i + 1];
-    gx[i] = ((tr + 2.0f * mr) + br) - ((tl + 2.0f * ml) + bl);
-    gy[i] = ((bl + 2.0f * bc) + br) - ((tl + 2.0f * tc) + tr);
-  }
-}
+/// The AVX2 instantiation of the same kernels, compiled in simd.cpp.
+namespace avx2 {
+double sum_f32(const float* a, std::size_t n);
+double dot_f32(const float* a, const float* b, std::size_t n);
+double l2sq_f32(const float* a, const float* b, std::size_t n);
+double sum_min_f32(const float* a, const float* b, std::size_t n);
+Dot3 dot3_f32(const float* a, const float* b, std::size_t n);
+NccSums ncc_accum_f32(const float* a, const float* b, double mean_a,
+                      double mean_b, std::size_t n);
+void weighted_accumulate_f32(float* acc_out, const float* w, const float* x,
+                             std::size_t n);
+void normalize_by_weight_f32(float* out, const float* num, const float* den,
+                             std::size_t n);
+void magnitude_f32(const float* gx, const float* gy, float* out,
+                   std::size_t n);
+void mag_angle_f32(const float* gx, const float* gy, float* mag, float* ang,
+                   std::size_t n);
+void sobel_row_f32(const float* top, const float* mid, const float* bot,
+                   float* gx, float* gy, std::size_t n);
+void l2sq_soa_accum_f32(const float* soa, std::size_t stride,
+                        const float* query, std::size_t d0, std::size_t d1,
+                        std::size_t j0, std::size_t len, float* dist2);
+NearestTwo nearest2_soa_f32(const float* soa, std::size_t stride,
+                            std::size_t dims, std::size_t count,
+                            const float* query, std::size_t tile);
+void hessian_row_f64(const double* table, std::size_t stride, int y, int x0,
+                     int n, int size, double* det_out, std::uint8_t* lap_out);
+}  // namespace avx2
 
 }  // namespace detail
+
+// ---------------------------------------------------------------------------
+// Reductions (pinned 4-lane f64 layout; see the header comment).
+// ---------------------------------------------------------------------------
+
+/// Σ a[i] — 4-lane pinned order.
+inline double sum_f32(const float* a, std::size_t n) {
+  return detail::use_avx2() ? detail::avx2::sum_f32(a, n)
+                            : detail::scalar::sum_f32(a, n);
+}
+
+/// Σ a[i]·b[i] — 4-lane pinned order, products formed in double.
+inline double dot_f32(const float* a, const float* b, std::size_t n) {
+  return detail::use_avx2() ? detail::avx2::dot_f32(a, b, n)
+                            : detail::scalar::dot_f32(a, b, n);
+}
+
+/// Σ (a[i]-b[i])² — 4-lane pinned order, differences formed in double.
+inline double l2sq_f32(const float* a, const float* b, std::size_t n) {
+  return detail::use_avx2() ? detail::avx2::l2sq_f32(a, b, n)
+                            : detail::scalar::l2sq_f32(a, b, n);
+}
+
+/// Σ min(a[i], b[i]) — histogram intersection; 4-lane pinned order.
+inline double sum_min_f32(const float* a, const float* b, std::size_t n) {
+  return detail::use_avx2() ? detail::avx2::sum_min_f32(a, b, n)
+                            : detail::scalar::sum_min_f32(a, b, n);
+}
+
+/// Σab, Σa², Σb² in one pass, each in the pinned order of dot_f32.
+inline Dot3 dot3_f32(const float* a, const float* b, std::size_t n) {
+  return detail::use_avx2() ? detail::avx2::dot3_f32(a, b, n)
+                            : detail::scalar::dot3_f32(a, b, n);
+}
+
+/// The NCC sums over mean-subtracted values, each in the pinned order.
+inline NccSums ncc_accum_f32(const float* a, const float* b, double mean_a,
+                             double mean_b, std::size_t n) {
+  return detail::use_avx2()
+             ? detail::avx2::ncc_accum_f32(a, b, mean_a, mean_b, n)
+             : detail::scalar::ncc_accum_f32(a, b, mean_a, mean_b, n);
+}
+
+// ---------------------------------------------------------------------------
+// Min / argmin: one scalar scan on both paths. Only their test calls them,
+// so no workload could show an AVX2 variant paying. The result is the
+// extreme value and the FIRST index attaining it. Inputs must be NaN-free.
+// n must be > 0.
+// ---------------------------------------------------------------------------
+
+/// Smallest value and the first index attaining it.
+inline IndexValue argmin_f32(const float* a, std::size_t n) {
+  assert(n > 0);
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (a[i] < a[best]) best = i;
+  }
+  return {best, a[best]};
+}
+
+/// Largest value and the first index attaining it.
+inline IndexValue argmax_f32(const float* a, std::size_t n) {
+  assert(n > 0);
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (a[best] < a[i]) best = i;
+  }
+  return {best, a[best]};
+}
+
+// ---------------------------------------------------------------------------
+// Elementwise kernels. Per-element expression trees are identical on both
+// paths, so outputs are bit-exact at any lane width by construction.
+// ---------------------------------------------------------------------------
 
 /// acc[i] += w[i] * x[i] (mul then add; no FMA).
 inline void weighted_accumulate_f32(float* acc_out, const float* w,
                                     const float* x, std::size_t n) {
-  dispatch([&](auto tag) {
-    detail::weighted_accumulate_impl<typename decltype(tag)::f32x8>(acc_out, w,
-                                                                    x, n);
-  });
+  if (detail::use_avx2()) {
+    detail::avx2::weighted_accumulate_f32(acc_out, w, x, n);
+  } else {
+    detail::scalar::weighted_accumulate_f32(acc_out, w, x, n);
+  }
 }
 
 /// out[i] = den[i] > 0 ? num[i] / den[i] : 0 — the feather-blend resolve.
 /// Guarded so the masked-out lanes never divide by zero (sanitizer-clean).
 inline void normalize_by_weight_f32(float* out, const float* num,
                                     const float* den, std::size_t n) {
-  dispatch([&](auto tag) {
-    detail::normalize_by_weight_impl<typename decltype(tag)::f32x8>(out, num,
-                                                                    den, n);
-  });
+  if (detail::use_avx2()) {
+    detail::avx2::normalize_by_weight_f32(out, num, den, n);
+  } else {
+    detail::scalar::normalize_by_weight_f32(out, num, den, n);
+  }
 }
 
 /// out[i] = sqrt(gx[i]² + gy[i]²).
 inline void magnitude_f32(const float* gx, const float* gy, float* out,
                           std::size_t n) {
-  dispatch([&](auto tag) {
-    detail::magnitude_impl<typename decltype(tag)::f32x8>(gx, gy, out, n);
-  });
+  if (detail::use_avx2()) {
+    detail::avx2::magnitude_f32(gx, gy, out, n);
+  } else {
+    detail::scalar::magnitude_f32(gx, gy, out, n);
+  }
 }
 
 /// mag[i] = sqrt(gx²+gy²); ang[i] = polynomial atan2(gy, gx) in (-pi, pi].
 /// The angle uses the wrapper's own minimax polynomial (~1e-5 rad), NOT
-/// libm atan2 — deterministic across backends and platforms by construction.
+/// libm atan2 — deterministic across paths and platforms by construction.
 inline void mag_angle_f32(const float* gx, const float* gy, float* mag,
                           float* ang, std::size_t n) {
-  dispatch([&](auto tag) {
-    detail::mag_angle_impl<typename decltype(tag)::f32x8>(gx, gy, mag, ang, n);
-  });
+  if (detail::use_avx2()) {
+    detail::avx2::mag_angle_f32(gx, gy, mag, ang, n);
+  } else {
+    detail::scalar::mag_angle_f32(gx, gy, mag, ang, n);
+  }
 }
 
 /// Sobel responses for `n` interior pixels: reads [i-1, i+1] from each of the
@@ -1088,33 +431,16 @@ inline void mag_angle_f32(const float* gx, const float* gy, float* mag,
 /// margin on both sides.
 inline void sobel_row_f32(const float* top, const float* mid, const float* bot,
                           float* gx, float* gy, std::size_t n) {
-  dispatch([&](auto tag) {
-    detail::sobel_row_impl<typename decltype(tag)::f32x8>(top, mid, bot, gx,
-                                                          gy, n);
-  });
+  if (detail::use_avx2()) {
+    detail::avx2::sobel_row_f32(top, mid, bot, gx, gy, n);
+  } else {
+    detail::scalar::sobel_row_f32(top, mid, bot, gx, gy, n);
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Blocked SoA nearest-neighbor scan (the S2 matcher inner loop).
 // ---------------------------------------------------------------------------
-
-namespace detail {
-template <class V8>
-void l2sq_soa_accum_impl(const float* soa, std::size_t stride,
-                         const float* query, std::size_t d0, std::size_t d1,
-                         std::size_t j0, std::size_t len, float* dist2) {
-  for (std::size_t d = d0; d < d1; ++d) {
-    const V8 q = V8::broadcast(query[d]);
-    const float* row = soa + d * stride + j0;
-    for (std::size_t j = 0; j < len; j += kF32Lanes) {
-      const V8 diff = V8::load(row + j) - q;
-      const V8 sq = diff * diff;
-      const V8 r = V8::load(dist2 + j) + sq;
-      r.store(dist2 + j);
-    }
-  }
-}
-}  // namespace detail
 
 /// dist2[j] += Σ_{d in [d0,d1)} (soa[d*stride + j0 + j] - query[d])² for
 /// j in [0, len). `len` must be a multiple of kF32Lanes. Per candidate the
@@ -1126,25 +452,21 @@ inline void l2sq_soa_accum_f32(const float* soa, std::size_t stride,
                                std::size_t d1, std::size_t j0, std::size_t len,
                                float* dist2) {
   assert(len % kF32Lanes == 0);
-  dispatch([&](auto tag) {
-    detail::l2sq_soa_accum_impl<typename decltype(tag)::f32x8>(
-        soa, stride, query, d0, d1, j0, len, dist2);
-  });
+  if (detail::use_avx2()) {
+    detail::avx2::l2sq_soa_accum_f32(soa, stride, query, d0, d1, j0, len,
+                                     dist2);
+  } else {
+    detail::scalar::l2sq_soa_accum_f32(soa, stride, query, d0, d1, j0, len,
+                                       dist2);
+  }
 }
-
-/// Nearest and second-nearest squared distances over an SoA block.
-/// best == count means "no candidate" (count == 0).
-struct NearestTwo {
-  std::size_t best = 0;
-  float best_d2 = std::numeric_limits<float>::max();
-  float second_d2 = std::numeric_limits<float>::max();
-};
 
 /// Blocked scan over a dim-major SoA block: `soa` holds `dims` rows of
 /// `stride` floats; candidates j in [0, count) are real, [count, stride)
 /// are large-valued padding lanes. Candidates are processed in tiles of
-/// match_tile(); each tile accumulates distances dim-chunk by dim-chunk with
-/// a partial-distance early exit:
+/// `tile` (a multiple of kF32Lanes, at most kMaxMatchTile); each tile
+/// accumulates distances dim-chunk by dim-chunk with a partial-distance
+/// early exit:
 ///
 ///   Distances only grow as dims accumulate, so once every candidate in the
 ///   tile has partial >= second_d2, no candidate in it can improve best or
@@ -1155,47 +477,37 @@ struct NearestTwo {
 ///   is a pure optimization, invariant in the output.
 inline NearestTwo nearest2_soa_f32(const float* soa, std::size_t stride,
                                    std::size_t dims, std::size_t count,
-                                   const float* query) {
-  NearestTwo out;
-  out.best = count;
-  if (count == 0) return out;
-  const std::size_t tile = match_tile();
-  constexpr std::size_t kDimChunk = 16;
-  std::array<float, kMaxMatchTile> d2buf;
-  for (std::size_t j0 = 0; j0 < count; j0 += tile) {
-    // Lane padding: stride is a multiple of kF32Lanes, so rounding the tile
-    // span up to the stride edge keeps vector loads in-bounds.
-    const std::size_t len = stride - j0 < tile ? stride - j0 : tile;
-    for (std::size_t k = 0; k < len; ++k) d2buf[k] = 0.0f;
-    bool abandoned = false;
-    for (std::size_t d0 = 0; d0 < dims; d0 += kDimChunk) {
-      const std::size_t d1 = d0 + kDimChunk < dims ? d0 + kDimChunk : dims;
-      l2sq_soa_accum_f32(soa, stride, query, d0, d1, j0, len, d2buf.data());
-      if (out.second_d2 < std::numeric_limits<float>::max() && d1 < dims) {
-        float low = d2buf[0];
-        for (std::size_t k = 1; k < len; ++k) {
-          low = d2buf[k] < low ? d2buf[k] : low;
-        }
-        if (!(low < out.second_d2)) {
-          abandoned = true;
-          break;
-        }
-      }
-    }
-    if (abandoned) continue;
-    const std::size_t jmax = j0 + tile < count ? j0 + tile : count;
-    for (std::size_t j = j0; j < jmax; ++j) {
-      const float d = d2buf[j - j0];
-      if (d < out.best_d2) {
-        out.second_d2 = out.best_d2;
-        out.best_d2 = d;
-        out.best = j;
-      } else if (d < out.second_d2) {
-        out.second_d2 = d;
-      }
-    }
+                                   const float* query, std::size_t tile = 64) {
+  assert(tile % kF32Lanes == 0 && tile > 0 && tile <= kMaxMatchTile);
+  return detail::use_avx2()
+             ? detail::avx2::nearest2_soa_f32(soa, stride, dims, count, query,
+                                              tile)
+             : detail::scalar::nearest2_soa_f32(soa, stride, dims, count,
+                                                query, tile);
+}
+
+// ---------------------------------------------------------------------------
+// SURF box-filter Hessian (vision/surf.cpp).
+// ---------------------------------------------------------------------------
+
+/// The SURF Hessian response of the `size` x `size` box filters (size odd:
+/// 9, 15, 21, ...) at positions (x0 + k, y), k in [0, n), over an integral
+/// table whose row r starts at table + r * stride. `n` must be a multiple of
+/// kF64Lanes, and every box must lie inside the table. Writes
+/// det_out[k] = nxx * nyy - 0.81 * nxy * nxy and lap_out[k] = trace > 0,
+/// bit-equal to vision's scalar hessian_at: the same box corners combine in
+/// the same order per position.
+inline void hessian_row_f64(const double* table, std::size_t stride, int y,
+                            int x0, int n, int size, double* det_out,
+                            std::uint8_t* lap_out) {
+  assert(n % static_cast<int>(kF64Lanes) == 0);
+  if (detail::use_avx2()) {
+    detail::avx2::hessian_row_f64(table, stride, y, x0, n, size, det_out,
+                                  lap_out);
+  } else {
+    detail::scalar::hessian_row_f64(table, stride, y, x0, n, size, det_out,
+                                    lap_out);
   }
-  return out;
 }
 
 }  // namespace crowdmap::common::simd

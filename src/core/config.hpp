@@ -68,18 +68,14 @@ struct SloConfig {
   int ingest_queue_depth_max = 0;
 };
 
-/// SIMD kernel dispatch (src/common/simd.hpp, docs/PERFORMANCE.md). Both
-/// knobs are result-invariant by construction — every wrapped kernel is
-/// bit-exact scalar vs vector and any legal match tile yields identical
-/// matches — so they exist for benchmarking and triage, not correctness.
+/// SIMD kernel dispatch (src/common/simd.hpp, docs/PERFORMANCE.md). The
+/// knob is result-invariant by construction — every wrapped kernel is
+/// bit-exact scalar vs AVX2 — so it exists for benchmarking and triage, not
+/// correctness.
 struct SimdConfig {
   /// Route every wrapped kernel through the scalar reference path (the same
   /// binary, no rebuild). Used by test_simd and the roofline benchmarks.
   bool force_scalar = false;
-  /// Candidate tile width of the blocked SoA mutual-NN matcher scan; clamped
-  /// to a multiple of 8 in [8, 256]. Output-invariant (partial-distance
-  /// early exit only ever skips candidates that cannot win).
-  std::size_t match_tile = 64;
 };
 
 /// Durable persistence for the cloud DocumentStore (docs/DURABILITY.md).

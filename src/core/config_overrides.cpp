@@ -145,8 +145,6 @@ constexpr ConfigKeyInfo kConfigKeys[] = {
                 "extraction worker, serial extraction and a serial planner)"),
     CM_KEY_BOOL("simd.force_scalar", simd.force_scalar,
                 "Route SIMD kernels through the scalar reference path"),
-    CM_KEY_SIZE("simd.match_tile", simd.match_tile,
-                "SoA matcher candidate tile (multiple of 8, clamped to [8,256])"),
     CM_KEY_DOUBLE("skeleton.alpha", skeleton.alpha,
                   "Alpha-shape radius for hallway boundary extraction"),
     CM_KEY_INT("skeleton.final_dilate_cells", skeleton.final_dilate_cells,

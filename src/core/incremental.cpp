@@ -635,9 +635,8 @@ IncrementalPlanner::IncrementalPlanner(
                          : std::make_shared<obs::MetricsRegistry>()),
       pool_(pool),
       flight_(flight) {
-  // Process-wide dispatch switches; both are result-invariant (SimdConfig).
+  // Process-wide dispatch switch; result-invariant (SimdConfig).
   common::simd::set_force_scalar(config_.simd.force_scalar);
-  common::simd::set_match_tile(config_.simd.match_tile);
   if (pool_ == nullptr) {
     // threads counts the calling thread, so a pool only pays off above 1;
     // the serial path (no pool) is the exact legacy execution order.

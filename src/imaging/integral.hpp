@@ -31,8 +31,8 @@ class IntegralImage {
 
   /// Raw pointer to table row y (row length width() + 1; y in
   /// [0, height()]). Row y holds prefix sums over pixel rows [0, y) —
-  /// row(y)[x] == S(x, y). Exists for the vectorized Hessian row kernel in
-  /// src/vision/surf.cpp, which needs contiguous loads.
+  /// row(y)[x] == S(x, y). Exists for the vectorized Hessian row kernel
+  /// (common::simd::hessian_row_f64), which needs contiguous loads.
   [[nodiscard]] const double* row(int y) const noexcept {
     return table_.data() + static_cast<std::size_t>(y) * (width_ + 1);
   }

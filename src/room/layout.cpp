@@ -49,7 +49,7 @@ std::vector<double> detect_floor_boundary(const imaging::Image& panorama,
       if (!std::isnan(v)) window[n++] = v;
     }
     if (n >= 3) {
-      std::sort(window, window + n);
+      std::nth_element(window, window + n / 2, window + n);
       smoothed[static_cast<std::size_t>(c)] = window[n / 2];
     }
   }

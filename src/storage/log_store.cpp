@@ -94,13 +94,30 @@ std::string LogStructuredStore::snapshot_name(std::uint64_t seqno) {
 common::Expected<RecoveryReport> LogStructuredStore::open(
     const SnapshotRestore& restore, const RecordApply& apply) {
   const auto started = std::chrono::steady_clock::now();
-  common::MutexLock lock(mutex_);
-  if (opened_) {
-    return common::make_error("storage.reopened", "store is already open");
+  {
+    common::MutexLock lock(mutex_);
+    if (opened_ || opening_) {
+      return common::make_error("storage.reopened", "store is already open");
+    }
+    opening_ = true;
   }
+  // Recovery reads and calls back with mutex_ released: the owner's
+  // journaled mutations take the owner's lock and then this one (append),
+  // so calling back under mutex_ would take the two in the reverse order.
+  // Reading touches only env_, options_ and flight_, which mutex_ does not
+  // guard; opening_ keeps a second open() out meanwhile and is cleared
+  // however open() leaves, a throwing callback included.
+  struct ClearOpening {
+    LogStructuredStore& store;
+    ~ClearOpening() {
+      common::MutexLock lock(store.mutex_);
+      store.opening_ = false;
+    }
+  } clear_opening{*this};
   if (Status s = env_.make_dirs(options_.dir); !s) return s.error();
 
   RecoveryReport report;
+  ParsedManifest manifest;
   const std::string manifest_path = full_path(kManifestName);
   if (env_.file_exists(manifest_path)) {
     auto manifest_or = env_.read_file(manifest_path);
@@ -135,7 +152,7 @@ common::Expected<RecoveryReport> LogStructuredStore::open(
       return common::make_error("storage.manifest_corrupt",
                                 parsed.error().message);
     }
-    const ParsedManifest& manifest = parsed.value();
+    manifest = std::move(parsed).take();
 
     if (!manifest.snapshot.empty()) {
       auto snap_or = env_.read_file(full_path(manifest.snapshot));
@@ -200,14 +217,14 @@ common::Expected<RecoveryReport> LogStructuredStore::open(
       // dirty recovery (durable_store), which retires the damaged segment.
       if (!scan.clean) break;
     }
-
-    next_seqno_ = manifest.next_seqno;
-    snapshot_file_ = manifest.snapshot;
-    for (const auto& [file, seqno] : manifest.segments) {
-      segments_.push_back(SegmentRef{file, seqno});
-    }
   }
 
+  common::MutexLock lock(mutex_);
+  next_seqno_ = manifest.next_seqno;
+  snapshot_file_ = manifest.snapshot;
+  for (const auto& [file, seqno] : manifest.segments) {
+    segments_.push_back(SegmentRef{file, seqno});
+  }
   opened_ = true;
   healthy_ = true;
   if (Status s = start_segment_locked(); !s) {

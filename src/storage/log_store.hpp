@@ -76,9 +76,11 @@ class LogStructuredStore {
 
   /// Opens the store: replays the manifest's snapshot through `restore`,
   /// then every intact log record in order through `apply`, then starts a
-  /// fresh active segment. Damage is truncated + quarantined into the
-  /// report, never thrown. Errors (unreadable manifest/snapshot, env
-  /// failures) come back as Expected errors.
+  /// fresh active segment. The callbacks run without the store's lock held,
+  /// so they may take locks of their own that append() callers hold. Damage
+  /// is truncated + quarantined into the report, never thrown. Errors
+  /// (unreadable manifest/snapshot, env failures, a failed restore) come
+  /// back as Expected errors before any file is written.
   common::Expected<RecoveryReport> open(const SnapshotRestore& restore,
                                         const RecordApply& apply)
       CM_EXCLUDES(mutex_);
@@ -147,6 +149,7 @@ class LogStructuredStore {
 
   mutable common::Mutex mutex_;
   bool opened_ CM_GUARDED_BY(mutex_) = false;
+  bool opening_ CM_GUARDED_BY(mutex_) = false;  // open() is recovering
   bool healthy_ CM_GUARDED_BY(mutex_) = false;
   std::uint64_t next_seqno_ CM_GUARDED_BY(mutex_) = 1;
   std::string snapshot_file_ CM_GUARDED_BY(mutex_);  // empty = none

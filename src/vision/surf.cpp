@@ -62,64 +62,15 @@ struct HessianResponse {
 
 /// Fills one response-map row at vertical position y, horizontal positions
 /// x0 + k for k in [0, n), step 1 (the full-resolution octave). The 4-wide
-/// body evaluates the identical floating-point tree as hessian_at — the
-/// same box corners combined in the same order, per position — so its
-/// output is bit-for-bit equal to the scalar path on every backend; the
-/// n % 4 tail simply calls hessian_at.
+/// body (common::simd::hessian_row_f64) evaluates the identical
+/// floating-point tree as hessian_at — the same box corners combined in the
+/// same order, per position — so its output is bit-for-bit equal to the
+/// scalar path; the n % 4 tail simply calls hessian_at.
 void hessian_row(const IntegralImage& ii, int y, int x0, int n, int size,
                  double* det_out, std::uint8_t* lap_out) {
-  const int lobe = size / 3;
-  const int half = size / 2;
-  const int mid = lobe / 2 + (lobe - 1) / 2;  // half-extent of the -2 lobe
-  const double area = static_cast<double>(size) * size;
-  // Integral-table rows touched by the five boxes at this y.
-  const double* top_big = ii.row(y - half);
-  const double* bot_big = ii.row(y + half + 1);
-  const double* top_mid = ii.row(y - mid);
-  const double* bot_mid = ii.row(y + mid + 1);
-  const double* top_lobe = ii.row(y - lobe);
-  const double* row_y0 = ii.row(y);
-  const double* row_y1 = ii.row(y + 1);
-  const double* bot_lobe = ii.row(y + lobe + 1);
-  const int lanes = static_cast<int>(simd::kF64Lanes);
-  const int main_n = n - n % lanes;
-  simd::dispatch([&](auto tag) {
-    using D4 = typename decltype(tag)::f64x4;
-    const D4 three = D4::broadcast(3.0);
-    const D4 w = D4::broadcast(0.81);
-    const D4 varea = D4::broadcast(area);
-    // box_sum_fast's tree — ((s11 - s01) - s10) + s00 — over the inclusive
-    // x-range [xa, xb] on the given top/bottom table-row pair.
-    const auto box = [](const double* top, const double* bot, int xa, int xb) {
-      const D4 s11 = D4::load(bot + xb + 1);
-      const D4 s01 = D4::load(bot + xa);
-      const D4 s10 = D4::load(top + xb + 1);
-      const D4 s00 = D4::load(top + xa);
-      return ((s11 - s01) - s10) + s00;
-    };
-    for (int k = 0; k < main_n; k += lanes) {
-      const int x = x0 + k;
-      const D4 big = box(top_big, bot_big, x - half, x + half);
-      const D4 dyy = big - three * box(top_mid, bot_mid, x - half, x + half);
-      const D4 dxx = big - three * box(top_big, bot_big, x - mid, x + mid);
-      const D4 dxy = ((box(top_lobe, row_y0, x - lobe, x - 1) +
-                       box(row_y1, bot_lobe, x + 1, x + lobe)) -
-                      box(top_lobe, row_y0, x + 1, x + lobe)) -
-                     box(row_y1, bot_lobe, x - lobe, x - 1);
-      const D4 nxx = dxx / varea;
-      const D4 nyy = dyy / varea;
-      const D4 nxy = dxy / varea;
-      const D4 wxy = w * nxy;
-      const D4 det = nxx * nyy - wxy * nxy;
-      const D4 trace = nxx + nyy;
-      det.store(det_out + k);
-      double tr[simd::kF64Lanes];
-      trace.store(tr);
-      for (int l = 0; l < lanes; ++l) {
-        lap_out[k + l] = tr[l] > 0.0 ? 1 : 0;
-      }
-    }
-  });
+  const int main_n = n - n % static_cast<int>(simd::kF64Lanes);
+  simd::hessian_row_f64(ii.row(0), static_cast<std::size_t>(ii.width()) + 1,
+                        y, x0, main_n, size, det_out, lap_out);
   for (int k = main_n; k < n; ++k) {
     const auto h = hessian_at(ii, x0 + k, y, size);
     det_out[k] = h.det;

@@ -168,29 +168,19 @@ TEST(ReplicationRecord, DecodeRejectsForeignBytes) {
   EXPECT_THROW((void)cl::decode_record(bytes), crowdmap::io::DecodeError);
 }
 
-TEST(ReplicationLog, ShippedSegmentsReplayThroughTheStorageScanner) {
-  cl::ReplicationLog log(7);
+TEST(ReplicationLog, AppendsKeepDenseSeqnosAndRecordBytes) {
+  cl::ReplicationLog log;
+  EXPECT_EQ(log.head(), 0u);
   std::vector<crowdmap::io::Bytes> appended;
   for (int i = 0; i < 3; ++i) {
     appended.push_back(cl::encode_record(sample_doc("v" + std::to_string(i), i)));
     EXPECT_EQ(log.append(appended.back()), static_cast<std::uint64_t>(i + 1));
   }
   EXPECT_EQ(log.head(), 3u);
-  EXPECT_EQ(log.record(2), appended[1]);
-
-  const auto replayed = cl::ReplicationLog::replay(log.segment());
-  ASSERT_TRUE(replayed.ok());
-  EXPECT_EQ(replayed.value(), appended);
-}
-
-TEST(ReplicationLog, ReplayRefusesDamagedTransport) {
-  cl::ReplicationLog log(7);
-  (void)log.append(cl::encode_record(sample_doc("v0", 1)));
-  auto segment = log.segment();
-  segment.back() ^= 0xFF;  // tear the last frame's payload
-  const auto replayed = cl::ReplicationLog::replay(segment);
-  ASSERT_FALSE(replayed.ok());
-  EXPECT_EQ(replayed.error().code, "cluster.replication_damage");
+  for (std::uint64_t seqno = 1; seqno <= log.head(); ++seqno) {
+    EXPECT_EQ(log.record(seqno), appended[seqno - 1]) << "seqno " << seqno;
+  }
+  EXPECT_EQ(cl::decode_record(log.record(2)).id, "v1");
 }
 
 // ------------------------------------------------ determinism contract ---

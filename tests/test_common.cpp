@@ -182,7 +182,7 @@ TEST(EmpiricalCdf, QuantileInverse) {
   cc::EmpiricalCdf cdf({1.0, 2.0, 3.0, 4.0});
   EXPECT_NEAR(cdf.quantile(0.25), 1.0, 1e-12);
   EXPECT_NEAR(cdf.quantile(1.0), 4.0, 1e-12);
-  EXPECT_THROW(cc::EmpiricalCdf({}).quantile(0.5), std::logic_error);
+  EXPECT_THROW((void)cc::EmpiricalCdf({}).quantile(0.5), std::logic_error);
 }
 
 TEST(EmpiricalCdf, TableHasRows) {

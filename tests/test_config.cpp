@@ -75,7 +75,7 @@ TEST(ConfigOverrides, UnknownKeyThrows) {
   for (const char* line :
        {"match.hs = 0.7\n", "cluster.replicas = 2\n", "layout.shards = 3\n",
         "skeleton.dilate = 4\n", "parallel.s2_cache = 123\n",
-        "parallel.s2_cache_capacity = 123\n"}) {
+        "parallel.s2_cache_capacity = 123\n", "simd.match_tile = 64\n"}) {
     co::PipelineConfig config;
     const auto file = cc::ConfigFile::parse(line);
     EXPECT_THROW(co::apply_config_overrides(config, file), std::runtime_error)

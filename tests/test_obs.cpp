@@ -315,7 +315,9 @@ TEST(Export, JsonStillEscapesQuotesInHelp) {
 
 TEST(Metrics, FindSeriesDistinguishesAbsentFromZero) {
   obs::MetricsRegistry registry;
-  registry.counter("zero_total", {{"k", "v"}}, "help");  // registered, 0
+  const obs::Counter& zero = registry.counter("zero_total", {{"k", "v"}},
+                                              "help");
+  EXPECT_EQ(zero.value(), 0u);  // registered, never incremented
   const obs::MetricsSnapshot snapshot = registry.snapshot();
 
   const obs::SeriesSnapshot* series =

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -394,6 +395,31 @@ TEST(LogStore, DoubleOpenIsRejected) {
   auto again = open_store(store, replay);
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.error().code, "storage.reopened");
+}
+
+TEST(LogStore, OpenRunsAgainAfterACallbackThrows) {
+  // open() calls back with its lock released; a callback that throws must
+  // not leave the store refusing every later open().
+  st::FaultEnv env;
+  {
+    st::LogStructuredStore store(env, small_options("db"));
+    Replay replay;
+    ASSERT_TRUE(open_store(store, replay).ok());
+    ASSERT_TRUE(store.append(bytes_of("r1")).ok());
+  }
+  st::LogStructuredStore store(env, small_options("db"));
+  EXPECT_THROW(
+      (void)store.open([](const io::Bytes&) { return st::ok_status(); },
+                       [](const io::Bytes&) {
+                         throw std::runtime_error("apply failed");
+                       }),
+      std::runtime_error);
+  EXPECT_FALSE(store.healthy());
+  Replay replay;
+  auto report = open_store(store, replay);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  EXPECT_EQ(replay.records, std::vector<std::string>{"r1"});
+  EXPECT_TRUE(store.healthy());
 }
 
 TEST(LogStore, AppendBeforeOpenIsUnhealthy) {

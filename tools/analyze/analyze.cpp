@@ -64,7 +64,7 @@ const std::vector<RuleInfo> kRules = {
      "metric is unusable at 3am — pass the help argument"},
     {"raw-intrinsics",
      "raw SIMD intrinsics (<immintrin.h>/<arm_neon.h> includes, _mm_*/"
-     "vld1q_* calls, __m128/__m256 types) outside src/common/simd.hpp; use "
+     "vld1q_* calls, __m128/__m256 types) outside src/common/simd.*; use "
      "the portable wrapper's kernels and lane types so every hot path keeps "
      "the scalar-vs-vector bit-exactness contract"},
     {"raw-file-io",

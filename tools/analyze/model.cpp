@@ -165,7 +165,7 @@ bool intrinsics_header(const std::string& target) {
 }
 
 const char kRawIntrinsicsMessage[] =
-    "raw SIMD intrinsics outside src/common/simd.hpp; use the portable "
+    "raw SIMD intrinsics outside src/common/simd.*; use the portable "
     "wrapper (common/simd.hpp) so the bit-exactness contract holds on every "
     "backend";
 

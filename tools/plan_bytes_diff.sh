@@ -5,14 +5,19 @@
 #   tools/plan_bytes_diff.sh <base-ref> [work-dir]
 #
 # Builds crowdmap_cli twice, at `git merge-base <base-ref> HEAD` and from the
-# checked-out tree (HEAD plus any uncommitted edits), renders the same ten
-# plans with each build and `cmp`s every pair:
+# checked-out tree (HEAD plus any uncommitted edits), renders the same
+# eleven plans with each build and `cmp`s every pair:
 #
 #   lab1, lab2, gym   x   --threads 1, --threads 0, --nodes 3
 #   lab1 --faults     (every stage degrades; the CLI cannot render a junk or
 #                      adversarial campaign, so this plan stands in for one)
+#   lab1 scalar       (--threads 0 with simd.force_scalar = true)
 #
-# Exits 1 naming each pair whose bytes differ, 0 when all ten match. The
+# The scalar plan is also `cmp`ed against the same side's lab1 --threads 0
+# plan, so the SIMD kernels' scalar and vector paths are checked against
+# each other on every run as well as across the two builds.
+#
+# Exits 1 naming each pair whose bytes differ, 0 when all match. The
 # faults run's degradation line is compared too. A change that alters plan
 # bytes on purpose says so, with the reason, in CHANGES.md.
 #
@@ -36,6 +41,7 @@ mkdir -p "$work"
 
 base=$(git -C "$repo" merge-base "$base_ref" HEAD)
 faults='42:decode.fail=0.1,stage.panorama_fail=0.3,stage.layout_fail=0.2,stage.arrange_fail=1.0'
+printf 'simd.force_scalar = true\n' > "$work/scalar.conf"
 
 # name|cli arguments (word-split on purpose)
 runs=(
@@ -49,6 +55,7 @@ runs=(
   "gym-t0|--building gym --threads 0"
   "gym-n3|--building gym --nodes 3"
   "lab1-faults|--building lab1 --faults $faults"
+  "lab1-scalar|--building lab1 --threads 0 --config $work/scalar.conf"
 )
 
 # build_and_run <side> <source-dir>: builds crowdmap_cli from the source
@@ -94,6 +101,14 @@ for entry in "${runs[@]}"; do
     echo "same      $name  sha256 $digest"
   else
     echo "DIFFERENT $name: $work/base/$name.cmplan vs $work/head/$name.cmplan"
+    status=1
+  fi
+done
+for side in base head; do
+  if cmp -s "$work/$side/lab1-t0.cmplan" "$work/$side/lab1-scalar.cmplan"; then
+    echo "same      $side lab1-scalar vs $side lab1-t0"
+  else
+    echo "DIFFERENT $side lab1-scalar vs $side lab1-t0"
     status=1
   fi
 done

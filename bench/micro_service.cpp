@@ -138,7 +138,7 @@ int main() {
         timer.restart();
         const auto result = planner.refresh();
         samples.push_back(timer.elapsed_seconds());
-        if (result->degradation.degraded()) {
+        if (result.degradation.degraded()) {
           std::cout << "# unexpected degradation in muzzled run\n";
         }
       }

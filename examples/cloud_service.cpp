@@ -97,9 +97,9 @@ int main() {
 
   // --- Reconstruction over everything that survived ingestion.
   const auto result = planner.refresh();
-  std::cout << "Pipeline: placed " << result->diagnostics.trajectories_placed
-            << "/" << result->diagnostics.trajectories_kept << " trajectories, "
-            << result->rooms.size() << " rooms reconstructed, hallway skeleton "
-            << crowdmap::eval::fmt(result->skeleton.area(), 0) << " m^2\n";
+  std::cout << "Pipeline: placed " << result.diagnostics.trajectories_placed
+            << "/" << result.diagnostics.trajectories_kept << " trajectories, "
+            << result.rooms.size() << " rooms reconstructed, hallway skeleton "
+            << crowdmap::eval::fmt(result.skeleton.area(), 0) << " m^2\n";
   return 0;
 }

@@ -40,10 +40,7 @@ Client::Client(ClientOptions options)
       registry_(std::make_shared<obs::MetricsRegistry>()),
       pool_(common::resolve_thread_count(options_.config.parallel.threads)) {
   if (options_.config.flight.enabled) {
-    obs::FlightOptions opts;
-    opts.ring_capacity = options_.config.flight.ring_capacity;
-    opts.dump_on_anomaly = options_.config.flight.dump_on_anomaly;
-    flight_ = std::make_unique<obs::FlightRecorder>(opts);
+    flight_ = std::make_unique<obs::FlightRecorder>();
   }
   records_total_ = &registry_->counter(
       "crowdmap_cluster_replication_records_total", {},

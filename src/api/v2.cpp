@@ -262,27 +262,20 @@ BuildPlanResponse Client::build_plan(const BuildPlanRequest& request) {
   return response;
 }
 
-cloud::CrowdMapService& Client::route_read(const FloorKey& key,
-                                           bool resync) const {
+cloud::CrowdMapService& Client::route_read(const FloorKey& key) const {
   common::MutexLock lock(router_mutex_);
   const std::size_t node = acting_primary_locked(key, clock_.now());
-  if (resync) sync_node_locked(node, key);
+  sync_node_locked(node, key);
   return *nodes_[node]->service;
-}
-
-std::shared_ptr<const core::PipelineResult> Client::latest_plan(
-    const std::string& building, int floor) const {
-  return route_read({building, floor}, false).latest_plan(building, floor);
 }
 
 std::vector<trajectory::Trajectory> Client::trajectories(
     const std::string& building, int floor) const {
-  return route_read({building, floor}, true).trajectories(building, floor);
+  return route_read({building, floor}).trajectories(building, floor);
 }
 
 bool Client::persist_artifact_cache(const std::string& building, int floor) {
-  return route_read({building, floor}, true)
-      .persist_artifact_cache(building, floor);
+  return route_read({building, floor}).persist_artifact_cache(building, floor);
 }
 
 std::size_t Client::warm_artifact_cache_from(

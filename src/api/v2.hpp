@@ -185,7 +185,7 @@ class Client {
       CM_EXCLUDES(router_mutex_, videos_mutex_);
 
   /// Blocks until deliverable parked replication has flushed and every
-  /// node's queued extraction (and background refresh) work finished.
+  /// node's queued extraction work finished.
   void drain() CM_EXCLUDES(router_mutex_);
 
   /// Routes to the floor's acting primary, resyncs it from the shard log,
@@ -193,12 +193,6 @@ class Client {
   /// untouched by new uploads and stay byte-identical to a cold rebuild —
   /// at any node count (docs/CLUSTER.md has the determinism proof sketch).
   [[nodiscard]] BuildPlanResponse build_plan(const BuildPlanRequest& request)
-      CM_EXCLUDES(router_mutex_);
-
-  /// Last complete plan without forcing a rebuild (null before the first);
-  /// pair with ClientOptions::config.incremental.background_refresh.
-  [[nodiscard]] std::shared_ptr<const core::PipelineResult> latest_plan(
-      const std::string& building, int floor = 1) const
       CM_EXCLUDES(router_mutex_);
 
   /// Admitted trajectories of one floor in canonical (video_id) order,
@@ -314,9 +308,8 @@ class Client {
                               const SubmitUploadRequest& request)
       CM_EXCLUDES(router_mutex_);
   /// A read path's serving node: the floor's acting primary at the current
-  /// tick, resynced from the shard log first when `resync`.
-  [[nodiscard]] cloud::CrowdMapService& route_read(const FloorKey& key,
-                                                   bool resync) const
+  /// tick, resynced from the shard log first.
+  [[nodiscard]] cloud::CrowdMapService& route_read(const FloorKey& key) const
       CM_EXCLUDES(router_mutex_);
   [[nodiscard]] std::vector<cloud::CrowdMapService*> live_services() const
       CM_EXCLUDES(router_mutex_);

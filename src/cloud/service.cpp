@@ -55,12 +55,7 @@ CrowdMapService::CrowdMapService(core::PipelineConfig config,
   obs::Histogram& task_seconds = registry_->histogram(
       "crowdmap_worker_task_seconds", {}, {},
       "Worker-pool task wall-clock latency");
-  if (config_.flight.enabled) {
-    obs::FlightOptions opts;
-    opts.ring_capacity = config_.flight.ring_capacity;
-    opts.dump_on_anomaly = config_.flight.dump_on_anomaly;
-    flight_ = std::make_unique<obs::FlightRecorder>(opts);
-  }
+  if (config_.flight.enabled) flight_ = std::make_unique<obs::FlightRecorder>();
   if (!config_.storage.dir.empty()) {
     storage::Env& env =
         storage_env != nullptr ? *storage_env : storage::posix_env();
@@ -85,38 +80,6 @@ CrowdMapService::CrowdMapService(core::PipelineConfig config,
       store_, [this](const Document& doc) { on_upload_complete(doc); },
       IngestConfig{}, registry_);
   ingest_->set_flight_recorder(flight_.get());
-  if (config_.slo.plan_refresh_p99_ms > 0 || config_.slo.extract_p99_ms > 0 ||
-      config_.slo.ingest_queue_depth_max > 0) {
-    watchdog_ = std::make_unique<obs::SloWatchdog>(registry_, flight_.get());
-    if (config_.slo.plan_refresh_p99_ms > 0) {
-      obs::SloSpec spec;
-      spec.name = "plan_refresh_p99_ms";
-      spec.metric = "crowdmap_plan_refresh_seconds";
-      spec.kind = obs::SloKind::kHistogramQuantile;
-      spec.quantile = 0.99;
-      spec.scale = 1000.0;  // histogram records seconds; the SLO is in ms
-      spec.threshold = config_.slo.plan_refresh_p99_ms;
-      watchdog_->add(spec);
-    }
-    if (config_.slo.extract_p99_ms > 0) {
-      obs::SloSpec spec;
-      spec.name = "extract_p99_ms";
-      spec.metric = "crowdmap_extract_seconds";
-      spec.kind = obs::SloKind::kHistogramQuantile;
-      spec.quantile = 0.99;
-      spec.scale = 1000.0;
-      spec.threshold = config_.slo.extract_p99_ms;
-      watchdog_->add(spec);
-    }
-    if (config_.slo.ingest_queue_depth_max > 0) {
-      obs::SloSpec spec;
-      spec.name = "ingest_queue_depth_max";
-      spec.metric = "crowdmap_worker_queue_depth";
-      spec.kind = obs::SloKind::kGaugeMax;
-      spec.threshold = static_cast<double>(config_.slo.ingest_queue_depth_max);
-      watchdog_->add(spec);
-    }
-  }
   faults_.arm(config_.faults);
 }
 
@@ -153,25 +116,6 @@ core::IncrementalPlanner& CrowdMapService::planner_for(const FloorKey& key) {
   return *slot;
 }
 
-void CrowdMapService::schedule_refresh(const FloorKey& key) {
-  {
-    common::MutexLock lock(mutex_);
-    bool& pending = refresh_pending_[key];
-    if (pending) return;  // one queued refresh absorbs any number of ingests
-    pending = true;
-  }
-  tasks_.submit([this, key] {
-    {
-      // Cleared before running so an admission landing mid-refresh schedules
-      // exactly one follow-up that will see it.
-      common::MutexLock lock(mutex_);
-      refresh_pending_[key] = false;
-    }
-    (void)planner_for(key).refresh();
-    if (watchdog_ != nullptr) watchdog_->evaluate();
-  });
-}
-
 void CrowdMapService::on_upload_complete(const Document& doc) {
   uploads_completed_->increment();
   dispatch_extraction(doc);
@@ -184,20 +128,22 @@ void CrowdMapService::on_upload_complete(const Document& doc) {
 void CrowdMapService::dispatch_extraction(const Document& doc) {
   // Decode + extract on the worker pool; the calling thread returns at once.
   tasks_.submit([this, doc] {
+    const FloorKey key{doc.building, doc.floor};
     // Chaos: decode failure, keyed by the upload's stable identity so the
     // same plan loses the same uploads at any worker count. The document is
     // quarantined, not dropped — operators can replay it post-incident.
-    if (faults_.should_fire(common::faults::kDecodeFail,
-                            common::stable_string_hash(doc.id))) {
-      decode_failures_->increment();
+    const bool injected = faults_.should_fire(
+        common::faults::kDecodeFail, common::stable_string_hash(doc.id));
+    if (injected) {
       CROWDMAP_LOG(kWarn, "service")
           << "injected decode failure for upload " << doc.id;
       store_.quarantine(doc, "fault.decode");
-      return;
     }
-    auto video = decoder_(doc);
+    auto video = injected ? std::nullopt : decoder_(doc);
     if (!video) {
       decode_failures_->increment();
+      common::MutexLock lock(mutex_);
+      ++losses_[key].decode_failures;
       return;
     }
     // Chaos: sensor dropout — the phone stopped recording mid-walk. Keep a
@@ -207,6 +153,10 @@ void CrowdMapService::dispatch_extraction(const Document& doc) {
                             common::hash_u64(
                                 static_cast<std::uint64_t>(video->video_id)))) {
       sensor_dropouts_->increment();
+      {
+        common::MutexLock lock(mutex_);
+        ++losses_[key].sensor_dropouts;
+      }
       const std::size_t keep =
           std::max<std::size_t>(1, video->frames.size() / 2);
       if (keep < video->frames.size()) {
@@ -222,15 +172,12 @@ void CrowdMapService::dispatch_extraction(const Document& doc) {
     auto traj = trajectory::extract_trajectory(*video, config_.extraction,
                                                fan_out_pool_);
     extract_seconds_->observe(timer.elapsed_seconds());
-    const FloorKey key{doc.building, doc.floor};
     // Admission applies the planner's unqualified-data gates and hashes the
     // content key — both on this worker thread, so refresh never pays them.
     if (!planner_for(key).ingest(std::move(traj))) {
       CROWDMAP_LOG(kInfo, "service")
           << "dropped unqualified upload " << doc.id;
-      return;
     }
-    if (config_.incremental.background_refresh) schedule_refresh(key);
   });
 }
 
@@ -240,22 +187,15 @@ core::PipelineResult CrowdMapService::build_floor_plan(
     const std::string& building, int floor,
     const std::optional<core::WorldFrame>& frame) {
   drain();
-  auto result = planner_for({building, floor}).refresh(frame);
-  if (watchdog_ != nullptr) watchdog_->evaluate();
-  core::PipelineResult out = *result;
-  // Fold the service-side losses into the planner's degradation report so
-  // the caller sees the whole story, front door included.
-  out.degradation.uploads_lost_decode = decode_failures_->value();
-  out.degradation.sensor_dropouts = sensor_dropouts_->value();
-  return out;
-}
-
-std::shared_ptr<const core::PipelineResult> CrowdMapService::latest_plan(
-    const std::string& building, int floor) const {
+  const FloorKey key{building, floor};
+  core::PipelineResult out = planner_for(key).refresh(frame);
+  // Fold the floor's service-side losses into the planner's degradation
+  // report so the caller sees the whole story, front door included.
   common::MutexLock lock(mutex_);
-  const auto it = planners_.find({building, floor});
-  if (it == planners_.end()) return nullptr;
-  return it->second->latest();
+  const FloorLosses& losses = losses_[key];
+  out.degradation.uploads_lost_decode = losses.decode_failures;
+  out.degradation.sensor_dropouts = losses.sensor_dropouts;
+  return out;
 }
 
 std::vector<trajectory::Trajectory> CrowdMapService::trajectories(

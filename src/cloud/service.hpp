@@ -21,7 +21,6 @@
 #include "core/incremental.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slo.hpp"
 #include "storage/env.hpp"
 
 namespace crowdmap::cloud {
@@ -102,27 +101,20 @@ class CrowdMapService {
   /// dedupes by video id).
   void ingest_document(const Document& doc);
 
-  /// Blocks until every queued extraction (and background refresh) of this
-  /// service has finished; other services' work on the shared pool is not
-  /// waited for.
+  /// Blocks until every queued extraction of this service has finished;
+  /// other services' work on the shared pool is not waited for.
   void drain();
 
   /// Builds the floor plan for one (building, floor) from every trajectory
   /// extracted so far. Drains first, then refreshes that floor's planner:
   /// artifacts untouched by new uploads replay from the cache, so repeat
   /// builds cost O(delta), not O(corpus), while the returned plan stays
-  /// byte-identical to a cold rebuild.
+  /// byte-identical to a cold rebuild. The degradation report counts the
+  /// decode failures and sensor dropouts of this floor's uploads only.
   [[nodiscard]] core::PipelineResult build_floor_plan(
       const std::string& building, int floor,
       const std::optional<core::WorldFrame>& frame = std::nullopt)
       CM_EXCLUDES(mutex_);
-
-  /// The last complete plan for one floor without forcing a rebuild: what a
-  /// read-path endpoint serves while ingestion (and, with
-  /// config.incremental.background_refresh, the refresh itself) proceeds in
-  /// the background. Null before the floor's first refresh.
-  [[nodiscard]] std::shared_ptr<const core::PipelineResult> latest_plan(
-      const std::string& building, int floor) const CM_EXCLUDES(mutex_);
 
   /// Admitted trajectories of one floor, sorted by video_id (the canonical
   /// refresh order). Call drain() first if extractions may be in flight.
@@ -185,9 +177,12 @@ class CrowdMapService {
   core::IncrementalPlanner& planner_for(const FloorKey& key)
       CM_EXCLUDES(mutex_);
 
-  /// Coalesced background refresh: at most one pending refresh task per
-  /// floor; admissions while one runs schedule exactly one more.
-  void schedule_refresh(const FloorKey& key) CM_EXCLUDES(mutex_);
+  /// Service-side losses of one floor's uploads, before its planner sees
+  /// them; build_floor_plan() folds them into that floor's report.
+  struct FloorLosses {
+    std::size_t decode_failures = 0;
+    std::size_t sensor_dropouts = 0;
+  };
 
   core::PipelineConfig config_;
   VideoDecoder decoder_;
@@ -204,7 +199,6 @@ class CrowdMapService {
   /// observer records into these rings from worker threads until the group's
   /// last running task returns in ~CrowdMapService.
   std::unique_ptr<obs::FlightRecorder> flight_;
-  std::unique_ptr<obs::SloWatchdog> watchdog_;
   /// Declared after store_/flight_ (borrows both) and before tasks_: worker
   /// threads journal through it until the group's tasks finish, and its
   /// destructor detaches from the still-live store.
@@ -216,13 +210,13 @@ class CrowdMapService {
   mutable common::Mutex mutex_;
   // One incremental planner per (building, floor) — each owns that floor's
   // corpus and artifact cache. The mutex and both maps are declared before
-  // tasks_ (and so destroyed after it): extraction/refresh tasks reach
-  // planner_for() until the last one returns — a service torn down with work
-  // still queued (the cluster's node-crash fault) drops its queued tasks and
-  // waits for its running ones before any planner goes.
+  // tasks_ (and so destroyed after it): extraction tasks reach both maps
+  // until the last one returns — a service torn down with work still queued
+  // (the cluster's node-crash fault) drops its queued tasks and waits for its
+  // running ones before any planner goes.
   std::map<FloorKey, std::unique_ptr<core::IncrementalPlanner>> planners_
       CM_GUARDED_BY(mutex_);
-  std::map<FloorKey, bool> refresh_pending_ CM_GUARDED_BY(mutex_);
+  std::map<FloorKey, FloorLosses> losses_ CM_GUARDED_BY(mutex_);
   common::TaskGroup tasks_;
   /// What extraction and the planners fan out on: the shared pool, or
   /// nullptr when config.parallel.threads == 1 demands serial execution.

@@ -38,9 +38,6 @@ struct IncrementalConfig {
   /// Byte budget of the artifact cache shared across refreshes of one floor
   /// (0 disables caching entirely; every refresh is then a cold rebuild).
   std::size_t artifact_cache_bytes = std::size_t{32} << 20;
-  /// Refresh the floor plan on a background worker after each completed
-  /// upload, serving the last complete plan meanwhile (CrowdMapService).
-  bool background_refresh = false;
 };
 
 /// Flight recorder (docs/OBSERVABILITY.md): always-on black-box event rings
@@ -50,22 +47,6 @@ struct IncrementalConfig {
 struct FlightConfig {
   /// Arm the recorder (false builds it disarmed: one branch per record call).
   bool enabled = true;
-  /// Events retained per recording thread before ring wraparound.
-  std::size_t ring_capacity = 4096;
-  /// Auto-dump the rings to the configured sink when an anomalous event
-  /// lands (fault fired, stage degraded, upload quarantined, SLO breached).
-  bool dump_on_anomaly = false;
-};
-
-/// Declarative service-level objectives the SloWatchdog evaluates against
-/// the metrics registry (docs/OBSERVABILITY.md). 0 disables a check.
-struct SloConfig {
-  /// p99 of crowdmap_plan_refresh_seconds must stay under this many ms.
-  double plan_refresh_p99_ms = 0.0;
-  /// p99 of crowdmap_extract_seconds must stay under this many ms.
-  double extract_p99_ms = 0.0;
-  /// crowdmap_worker_queue_depth must stay at or under this many queued tasks.
-  int ingest_queue_depth_max = 0;
 };
 
 /// SIMD kernel dispatch (src/common/simd.hpp, docs/PERFORMANCE.md). The
@@ -150,12 +131,10 @@ struct PipelineConfig {
   ParallelConfig parallel;
   /// SIMD dispatch switches (result-invariant; see SimdConfig).
   SimdConfig simd;
-  /// Artifact cache + background refresh (incremental recomputation).
+  /// Artifact cache (incremental recomputation).
   IncrementalConfig incremental;
   /// Flight-recorder rings (always-on observability).
   FlightConfig flight;
-  /// SLO thresholds the service watchdog enforces.
-  SloConfig slo;
   /// Seeded fault-injection plan (chaos testing; docs/ROBUSTNESS.md). Empty
   /// settings leave every fault point disarmed — the default costs one
   /// predicted branch per interrogation and changes no output bit.

@@ -81,8 +81,6 @@ bool parse_bool(const std::string& key, const std::string& value) {
 constexpr ConfigKeyInfo kConfigKeys[] = {
     CM_KEY_SIZE("cache.artifact_bytes", incremental.artifact_cache_bytes,
                 "Artifact-cache byte budget per floor (0 disables reuse)"),
-    CM_KEY_BOOL("cache.background_refresh", incremental.background_refresh,
-                "Refresh plans on the worker pool as uploads land"),
     CM_KEY_SIZE("cluster.max_node_queue", cluster.max_node_queue,
                 "Shed uploads when a node's worker queue exceeds this (0 off)"),
     CM_KEY_SIZE("cluster.nodes", cluster.nodes,
@@ -108,12 +106,8 @@ constexpr ConfigKeyInfo kConfigKeys[] = {
      }},
     CM_KEY_SIZE("filter.min_keyframes", min_keyframes,
                 "Unqualified-data gate: minimum key-frames per upload"),
-    CM_KEY_BOOL("flight.dump_on_anomaly", flight.dump_on_anomaly,
-                "Auto-dump flight rings on fault/degradation/SLO breach"),
     CM_KEY_BOOL("flight.enabled", flight.enabled,
                 "Arm the flight recorder (black-box event rings)"),
-    CM_KEY_SIZE("flight.ring_capacity", flight.ring_capacity,
-                "Flight-recorder events retained per thread"),
     CM_KEY_DOUBLE("grid.brush_width", trajectory_brush_width,
                   "Occupancy brush width in meters per trajectory stroke"),
     CM_KEY_DOUBLE("grid.cell_size", grid_cell_size,
@@ -151,12 +145,6 @@ constexpr ConfigKeyInfo kConfigKeys[] = {
                "Dilation (cells) applied to the final skeleton raster"),
     CM_KEY_DOUBLE("skeleton.min_access_count", skeleton.min_access_count,
                   "Occupancy evidence required to keep a skeleton cell"),
-    CM_KEY_DOUBLE("slo.extract_p99_ms", slo.extract_p99_ms,
-                  "SLO: p99 upload-extraction latency ceiling in ms (0 off)"),
-    CM_KEY_INT("slo.ingest_queue_depth_max", slo.ingest_queue_depth_max,
-               "SLO: worker-queue depth ceiling in tasks (0 off)"),
-    CM_KEY_DOUBLE("slo.plan_refresh_p99_ms", slo.plan_refresh_p99_ms,
-                  "SLO: p99 plan-refresh latency ceiling in ms (0 off)"),
     CM_KEY_INT("stitch.height", stitch.output_height,
                "Panorama height in pixels"),
     CM_KEY_INT("stitch.width", stitch.output_width,

@@ -651,10 +651,7 @@ IncrementalPlanner::IncrementalPlanner(
     // One recorder for the planner's whole life: refresh N's events stay in
     // the rings next to refresh N+1's, which is exactly what a post-mortem
     // of "the plan got worse after that upload" needs.
-    obs::FlightOptions opts;
-    opts.ring_capacity = config_.flight.ring_capacity;
-    opts.dump_on_anomaly = config_.flight.dump_on_anomaly;
-    owned_flight_ = std::make_unique<obs::FlightRecorder>(opts);
+    owned_flight_ = std::make_unique<obs::FlightRecorder>();
     flight_ = owned_flight_.get();
   }
   if (config_.incremental.artifact_cache_bytes > 0) {
@@ -722,7 +719,7 @@ bool IncrementalPlanner::ingest(trajectory::Trajectory traj) {
   return true;
 }
 
-std::shared_ptr<const PipelineResult> IncrementalPlanner::refresh(
+PipelineResult IncrementalPlanner::refresh(
     const std::optional<WorldFrame>& frame) {
   common::MutexLock refresh_lock(refresh_mutex_);
 
@@ -820,20 +817,10 @@ std::shared_ptr<const PipelineResult> IncrementalPlanner::refresh(
   if (b.artifacts != nullptr) b.artifacts->set_flight_recorder(nullptr);
   b.result.trace = b.trace.snapshot();
 
-  auto result = std::make_shared<const PipelineResult>(std::move(b.result));
   refresh_hist_->observe(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
           .count());
-  {
-    common::MutexLock lock(mutex_);
-    latest_ = result;
-  }
-  return result;
-}
-
-std::shared_ptr<const PipelineResult> IncrementalPlanner::latest() const {
-  common::MutexLock lock(mutex_);
-  return latest_;
+  return std::move(b.result);
 }
 
 std::vector<trajectory::Trajectory> IncrementalPlanner::trajectories() const {

@@ -33,9 +33,9 @@
 namespace crowdmap::core {
 
 /// Thread-safe floor planner for one floor's corpus. ingest() may be called
-/// concurrently (the service's extraction workers do); refresh() calls are
-/// serialized internally, so a background refresh and a foreground build
-/// cannot interleave mid-build.
+/// concurrently (the service's extraction workers do), also while a refresh
+/// runs; refresh() calls are serialized internally, so two builds of one
+/// floor cannot interleave mid-build.
 class IncrementalPlanner {
  public:
   /// `registry` defaults to a fresh registry; pass the service's shared one
@@ -65,15 +65,9 @@ class IncrementalPlanner {
 
   /// Folds the inbox into the corpus and builds the floor plan over it,
   /// reusing every artifact whose inputs did not change. Serialized against
-  /// concurrent refreshes. The result is retained (latest()) and returned.
-  std::shared_ptr<const PipelineResult> refresh(
-      const std::optional<WorldFrame>& frame = std::nullopt)
+  /// concurrent refreshes.
+  PipelineResult refresh(const std::optional<WorldFrame>& frame = std::nullopt)
       CM_EXCLUDES(mutex_, refresh_mutex_);
-
-  /// Last complete refresh result; nullptr before the first refresh. The
-  /// service serves this while a background refresh runs.
-  [[nodiscard]] std::shared_ptr<const PipelineResult> latest() const
-      CM_EXCLUDES(mutex_);
 
   /// Kept trajectories — the corpus plus the inbox, an inbox entry winning
   /// over a corpus entry with the same video_id — sorted by video_id (the
@@ -146,7 +140,6 @@ class IncrementalPlanner {
   mutable common::Mutex mutex_;
   /// Admissions since the last refresh, one per video_id, in arrival order.
   std::vector<Entry> inbox_ CM_GUARDED_BY(mutex_);
-  std::shared_ptr<const PipelineResult> latest_ CM_GUARDED_BY(mutex_);
 };
 
 }  // namespace crowdmap::core

@@ -31,16 +31,6 @@ bool kind_is_deterministic(FlightEventKind kind) noexcept {
          kind != FlightEventKind::kClusterShed;
 }
 
-bool kind_is_anomaly(FlightEventKind kind) noexcept {
-  return kind == FlightEventKind::kFaultFired ||
-         kind == FlightEventKind::kDegradation ||
-         kind == FlightEventKind::kSloBreach ||
-         kind == FlightEventKind::kIngestQuarantine ||
-         kind == FlightEventKind::kRecoveryTruncate ||
-         kind == FlightEventKind::kClusterFailover ||
-         kind == FlightEventKind::kClusterShed;
-}
-
 std::size_t round_up_pow2(std::size_t n) noexcept {
   std::size_t p = 1;
   while (p < n) p <<= 1;
@@ -246,9 +236,6 @@ void FlightRecorder::record_armed(FlightEventKind kind, std::uint32_t detail,
   slot[4].store(b, std::memory_order_relaxed);
   // Publish: a dumper that sees head >= h also sees the words above.
   ring->head.store(head + 1, std::memory_order_release);
-  if (options_.dump_on_anomaly && kind_is_anomaly(kind)) {
-    maybe_anomaly_dump(kind);
-  }
 }
 
 void FlightRecorder::record_named(FlightEventKind kind, std::uint32_t detail,
@@ -262,38 +249,6 @@ std::uint64_t FlightRecorder::intern(std::string_view name) {
   common::MutexLock lock(strings_mutex_);
   strings_.emplace(hash, std::string(name));
   return hash;
-}
-
-void FlightRecorder::maybe_anomaly_dump(FlightEventKind kind) {
-  // Budget check via CAS so a fault storm fires at most max_anomaly_dumps.
-  std::uint64_t fired = anomaly_dump_count_.load(std::memory_order_relaxed);
-  do {
-    if (fired >= options_.max_anomaly_dumps) return;
-  } while (!anomaly_dump_count_.compare_exchange_weak(
-      fired, fired + 1, std::memory_order_relaxed));
-  DumpSink sink;
-  {
-    common::MutexLock lock(sink_mutex_);
-    sink = sink_;
-  }
-  if (!sink) return;
-  std::string reason = "anomaly:";
-  reason += flight_event_kind_name(kind);
-  sink(dump(), reason);
-}
-
-void FlightRecorder::set_dump_sink(DumpSink sink) {
-  common::MutexLock lock(sink_mutex_);
-  sink_ = std::move(sink);
-}
-
-void FlightRecorder::dump_now(std::string_view reason) {
-  DumpSink sink;
-  {
-    common::MutexLock lock(sink_mutex_);
-    sink = sink_;
-  }
-  if (sink) sink(dump(), reason);
 }
 
 std::uint64_t FlightRecorder::dropped() const noexcept {

@@ -1,8 +1,8 @@
 // Flight recorder: always-on, lock-free per-thread ring buffers of fixed-
 // size structured events (span begin/end, cache traffic, fault fires, ingest
 // retransmits/quarantines, degradation entries, queue-depth samples). The
-// black box the SLO watchdog and the chaos harness dump when something goes
-// wrong: "what exactly happened in the 200 ms before this breach".
+// black box a post-mortem reads when something goes wrong: "what exactly
+// happened in the 200 ms before this fault".
 //
 // Every event is dual-stamped: a steady-clock offset from the recorder's
 // epoch (wall ordering for Perfetto rendering) and a LogicalClock tick
@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -49,7 +48,7 @@ enum class FlightEventKind : std::uint16_t {
   kIngestQuarantine = 8,  // a = upload id hash, b = reason hash
   kDegradation = 9,       // a = stage name hash, b = detail hash
   kQueueDepth = 10,       // a = queue depth sample
-  kSloBreach = 11,        // a = SLO name hash, b = observed value millis/units
+  kSloBreach = 11,        // retired: nothing records it any more
   kWalAppend = 12,        // a = segment seqno, b = record bytes
   kWalCheckpoint = 13,    // a = snapshot seqno, b = retired segment count
   kRecoveryTruncate = 14, // a = segment seqno, b = damaged tail bytes
@@ -103,17 +102,10 @@ struct FlightDump {
 /// deterministic for deterministic dumps).
 [[nodiscard]] std::string flight_dump_to_json(const FlightDump& dump);
 
-/// Recorder tunables; core::FlightConfig mirrors these through the config
-/// table (flight.* keys).
+/// Recorder tunables.
 struct FlightOptions {
   /// Events retained per writing thread before wraparound.
   std::size_t ring_capacity = 4096;
-  /// Auto-dump to the sink when an anomalous event (fault fired, stage
-  /// degraded, SLO breached) is recorded.
-  bool dump_on_anomaly = false;
-  /// Ceiling on automatic anomaly dumps, so a fault storm cannot flood the
-  /// sink (dump-on-demand is never limited).
-  std::uint64_t max_anomaly_dumps = 4;
 };
 
 class FlightRecorder {
@@ -168,20 +160,6 @@ class FlightRecorder {
   [[nodiscard]] FlightDump deterministic_dump() const
       CM_EXCLUDES(rings_mutex_, strings_mutex_);
 
-  /// Sink for automatic anomaly dumps (and dump_now). Invoked inline on the
-  /// recording thread, so keep it cheap and thread-safe.
-  using DumpSink =
-      std::function<void(const FlightDump& dump, std::string_view reason)>;
-  void set_dump_sink(DumpSink sink);
-
-  /// Dump-on-demand through the sink (no-op without one). Not counted
-  /// against the anomaly-dump budget.
-  void dump_now(std::string_view reason);
-
-  /// Automatic anomaly dumps fired so far.
-  [[nodiscard]] std::uint64_t anomaly_dumps() const noexcept {
-    return anomaly_dump_count_.load(std::memory_order_relaxed);
-  }
   /// Events overwritten by ring wraparound so far.
   [[nodiscard]] std::uint64_t dropped() const noexcept
       CM_EXCLUDES(rings_mutex_);
@@ -207,7 +185,6 @@ class FlightRecorder {
   void record_armed(FlightEventKind kind, std::uint32_t detail,
                     std::uint64_t a, std::uint64_t b) noexcept;
   Ring* ring_for_this_thread() CM_EXCLUDES(rings_mutex_);
-  void maybe_anomaly_dump(FlightEventKind kind);
   [[nodiscard]] FlightDump dump_impl(bool deterministic) const
       CM_EXCLUDES(rings_mutex_, strings_mutex_);
 
@@ -215,7 +192,6 @@ class FlightRecorder {
   const std::uint64_t id_;  // process-unique; keys the thread-local cache
   const std::chrono::steady_clock::time_point epoch_;
   std::atomic<bool> armed_{true};
-  std::atomic<std::uint64_t> anomaly_dump_count_{0};
   common::LogicalClock clock_;
 
   mutable common::Mutex rings_mutex_;
@@ -223,9 +199,6 @@ class FlightRecorder {
 
   mutable common::Mutex strings_mutex_;
   std::map<std::uint64_t, std::string> strings_ CM_GUARDED_BY(strings_mutex_);
-
-  mutable common::Mutex sink_mutex_;
-  DumpSink sink_ CM_GUARDED_BY(sink_mutex_);
 };
 
 }  // namespace crowdmap::obs

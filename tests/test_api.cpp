@@ -1,22 +1,37 @@
-// Tests for the api::Client facade and incremental recomputation semantics:
-// submission-order independence, warm-vs-cold byte identity, cache reuse
-// across rebuilds, persistence warm-start, and background refresh.
+// Tests for the api::Client facade: the structured Status error model, the
+// router adding nothing to the bytes (a single-node client's FloorPlan and
+// DegradationReport match a bare CrowdMapService's over the same campaign),
+// the 4-submitter-thread regression for the submit critical section
+// (docs/API.md), and incremental recomputation semantics: submission-order
+// independence, warm-vs-cold byte identity, cache reuse across rebuilds,
+// persistence warm-start, and floors sharing a node each reporting only
+// their own diagnostics and losses. The ApiV2 suite keeps the client's error
+// surface (a stale-routing refusal, request deadlines) and a topology change
+// seen through the client; routing, shedding, deadlines and membership are
+// checked in depth in test_cluster.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <barrier>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "api/v2.hpp"
+#include "cloud/chunking.hpp"
 #include "cloud/docstore.hpp"
+#include "cloud/service.hpp"
 #include "common/rng.hpp"
 #include "floorplan/serialize.hpp"
+#include "sensors/serialize.hpp"
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
 
 namespace ap = crowdmap::api;
+namespace cl = crowdmap::cloud;
 namespace cs = crowdmap::sim;
 namespace co = crowdmap::core;
 namespace cc = crowdmap::common;
@@ -53,6 +68,245 @@ std::string plan_bytes(const co::PipelineResult& result) {
 }
 
 }  // namespace
+
+// ----------------------------------------------------------- versioning ---
+
+TEST(Api, InlineNamespaceMakesV2TheDefault) {
+  static_assert(std::is_same_v<ap::Client, ap::v2::Client>);
+  static_assert(std::is_same_v<ap::ClientOptions, ap::v2::ClientOptions>);
+  SUCCEED();
+}
+
+TEST(Api, StatusModelIsSelfDescribing) {
+  EXPECT_TRUE(ap::Status::Ok().ok());
+  EXPECT_EQ(ap::Status::Ok().code, ap::StatusCode::kOk);
+  const auto status =
+      ap::Status::Error(ap::StatusCode::kShedding, "over queue bound");
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(ap::to_string(status.code), "shedding");
+  EXPECT_EQ(ap::to_string(ap::StatusCode::kOk), "ok");
+  EXPECT_EQ(ap::to_string(ap::StatusCode::kWrongShard), "wrong_shard");
+  EXPECT_EQ(ap::to_string(ap::StatusCode::kDeadlineExceeded),
+            "deadline_exceeded");
+}
+
+// ------------------------------------------------- router conformance ---
+
+TEST(Api, SingleNodeMatchesBareServiceByteForByte) {
+  const auto videos = tiny_campaign(820);
+  ASSERT_GE(videos.size(), 3u);
+  const std::string building = videos.front().building;
+  const int floor = videos.front().floor;
+
+  // Reference: one CrowdMapService fed the same uploads directly, decoding
+  // through a side table keyed by upload id — no router, no shard log. The
+  // table is filled before the first delivery, so extraction workers only
+  // ever read it.
+  std::map<std::string, cs::SensorRichVideo> side_table;
+  for (const auto& video : videos) {
+    side_table["video-" + std::to_string(video.video_id)] = video;
+  }
+  cc::ThreadPool pool(2);
+  cl::CrowdMapService bare(
+      co::PipelineConfig::fast_profile(),
+      [&side_table](const cl::Document& doc)
+          -> std::optional<cs::SensorRichVideo> {
+        const auto it = side_table.find(doc.id);
+        if (it == side_table.end()) return std::nullopt;
+        return it->second;
+      },
+      pool);
+  for (const auto& video : videos) {
+    const std::string id = "video-" + std::to_string(video.video_id);
+    bare.open_session(id, video.building, video.floor);
+    for (const auto& chunk : cl::split_into_chunks(
+             crowdmap::sensors::encode_imu(video.imu), id, 4096)) {
+      ASSERT_NE(bare.deliver(chunk), cl::IngestStatus::kRejected);
+    }
+  }
+  bare.drain();
+  const auto bare_plan = bare.build_floor_plan(building, floor, std::nullopt);
+
+  auto client = make_client();
+  for (const auto& video : videos) {
+    const auto response = client.submit_video(video);
+    ASSERT_TRUE(response.status.ok()) << response.status.message;
+    EXPECT_GT(response.chunks_sent, 0u);
+    EXPECT_GT(response.seqno, 0u);
+  }
+  ap::BuildPlanRequest request;
+  request.building = building;
+  request.floor = floor;
+  const auto routed = client.build_plan(request);
+  ASSERT_TRUE(routed.status.ok());
+
+  EXPECT_EQ(plan_bytes(bare_plan), plan_bytes(routed.result));
+  EXPECT_EQ(bare_plan.degradation.to_string(),
+            routed.degradation.to_string());
+  EXPECT_EQ(routed.degradation.to_string(),
+            routed.result.degradation.to_string());
+}
+
+TEST(Api, MultiNodeClientMatchesSingleNodeByteForByte) {
+  const auto videos = tiny_campaign(821);
+  const std::string building = videos.front().building;
+  const int floor = videos.front().floor;
+
+  auto three_nodes = co::PipelineConfig::fast_profile();
+  three_nodes.cluster.nodes = 3;
+  auto single = make_client();
+  auto sharded = make_client(three_nodes);
+  EXPECT_EQ(single.nodes(), 1u);
+  EXPECT_EQ(sharded.nodes(), 3u);
+  for (const auto& video : videos) {
+    ASSERT_TRUE(single.submit_video(video).status.ok());
+    ASSERT_TRUE(sharded.submit_video(video).status.ok());
+  }
+  ap::BuildPlanRequest request;
+  request.building = building;
+  request.floor = floor;
+  const auto lone = single.build_plan(request);
+  const auto spread = sharded.build_plan(request);
+  EXPECT_EQ(plan_bytes(lone.result), plan_bytes(spread.result));
+
+  // The serving node is the shard's primary, and the merged snapshot keeps
+  // router families unlabeled while node families carry {"node", ...}.
+  EXPECT_EQ(spread.node, sharded.shard_of(building, floor).primary);
+  EXPECT_EQ(spread.metrics.value("crowdmap_cluster_nodes"), 3.0);
+  EXPECT_TRUE(spread.metrics.has(
+      "crowdmap_worker_queue_depth",
+      {{"node", sharded.node_name(spread.node)}}));
+}
+
+// ------------------------------------------------------- error surface ---
+
+TEST(ApiV2, StaleRoutingIsRefusedAsWrongShard) {
+  const auto videos = tiny_campaign(822);
+  const auto& video = videos.front();
+  auto three_nodes = co::PipelineConfig::fast_profile();
+  three_nodes.cluster.nodes = 3;
+  auto client = make_client(three_nodes);
+
+  const auto view = client.shard_of(video.building, video.floor);
+  std::size_t wrong = 0;
+  while (wrong == view.primary) ++wrong;
+
+  ap::SubmitUploadRequest request;
+  request.upload_id = "video-" + std::to_string(video.video_id);
+  request.building = video.building;
+  request.floor = video.floor;
+  request.payload = crowdmap::sensors::encode_imu(video.imu);
+
+  const auto refused = client.submit_upload_to(wrong, request);
+  EXPECT_EQ(refused.status.code, ap::StatusCode::kWrongShard);
+  EXPECT_FALSE(refused.status.message.empty());
+  EXPECT_EQ(refused.node, view.primary) << "response names the real primary";
+  EXPECT_EQ(refused.seqno, 0u);
+
+  const auto accepted = client.submit_upload_to(view.primary, request);
+  EXPECT_TRUE(accepted.status.ok());
+}
+
+TEST(ApiV2, RequestDeadlinesBoundAdmission) {
+  const auto videos = tiny_campaign(823);
+  const auto& video = videos.front();
+  auto client = make_client();
+  ASSERT_TRUE(client.submit_video(video).status.ok());
+  ASSERT_GE(client.now_tick(), 1u);
+
+  ap::RequestOptions expired;
+  expired.deadline_tick = 1;
+  const auto late = client.submit_video(videos.back(), expired);
+  EXPECT_EQ(late.status.code, ap::StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(late.seqno, 0u);
+
+  ap::BuildPlanRequest build;
+  build.building = video.building;
+  build.floor = video.floor;
+  build.options = expired;
+  const auto plan = client.build_plan(build);
+  EXPECT_EQ(plan.status.code, ap::StatusCode::kDeadlineExceeded);
+
+  build.options.deadline_tick = client.now_tick() + 100;
+  EXPECT_TRUE(client.build_plan(build).status.ok());
+}
+
+// ------------------------------------------- submit critical section ---
+
+TEST(Api, FourConcurrentSubmittersMatchSerialSubmissionByteForByte) {
+  // Regression for the submit critical section: chunk delivery runs outside
+  // the router lock, so concurrent submitters must neither corrupt routing
+  // state nor change the committed upload set. Four threads stripe the
+  // campaign; the resulting plan must match a serial submission's bytes.
+  const auto videos = tiny_campaign(824);
+  ASSERT_GE(videos.size(), 4u);
+  const std::string building = videos.front().building;
+  const int floor = videos.front().floor;
+
+  auto serial = make_client();
+  for (const auto& video : videos) {
+    ASSERT_TRUE(serial.submit_video(video).status.ok());
+  }
+  ap::BuildPlanRequest request;
+  request.building = building;
+  request.floor = floor;
+  const auto reference = serial.build_plan(request);
+
+  auto concurrent = make_client();
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::size_t> accepted(kThreads, 0);
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t v = t; v < videos.size(); v += kThreads) {
+          if (concurrent.submit_video(videos[v]).status.ok()) ++accepted[t];
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+  }
+  std::size_t total = 0;
+  for (const auto count : accepted) total += count;
+  ASSERT_EQ(total, videos.size());
+
+  const auto built = concurrent.build_plan(request);
+  EXPECT_EQ(plan_bytes(reference.result), plan_bytes(built.result));
+  EXPECT_EQ(reference.result.degradation.to_string(),
+            built.result.degradation.to_string());
+}
+
+// ------------------------------------------------------ topology surface ---
+
+TEST(ApiV2, TopologyChangesKeepServingIdenticalPlans) {
+  const auto videos = tiny_campaign(825);
+  const std::string building = videos.front().building;
+  const int floor = videos.front().floor;
+
+  auto fixed = make_client();
+  auto elastic = make_client();
+  const std::size_t half = videos.size() / 2;
+  for (std::size_t v = 0; v < videos.size(); ++v) {
+    ASSERT_TRUE(fixed.submit_video(videos[v]).status.ok());
+    if (v == half) (void)elastic.add_node();
+    ASSERT_TRUE(elastic.submit_video(videos[v]).status.ok());
+  }
+  EXPECT_EQ(elastic.nodes(), 2u);
+  EXPECT_EQ(elastic.node_name(0), "node-0");
+
+  ap::BuildPlanRequest request;
+  request.building = building;
+  request.floor = floor;
+  const auto before = elastic.build_plan(request);
+  ASSERT_TRUE(elastic.remove_node(0));
+  const auto after = elastic.build_plan(request);
+  const auto baseline = fixed.build_plan(request);
+  EXPECT_EQ(plan_bytes(baseline.result), plan_bytes(before.result));
+  EXPECT_EQ(plan_bytes(baseline.result), plan_bytes(after.result));
+}
+
+// ------------------------------------------- incremental recomputation ---
 
 TEST(Api, SubmissionOrderDoesNotChangeThePlan) {
   const auto videos = tiny_campaign(810);
@@ -226,36 +480,6 @@ TEST(Api, TrajectoriesListDrainedUploadsBeforeTheirBuild) {
   EXPECT_EQ(listed, ids_of(client.trajectories(building, floor)));
 }
 
-TEST(Api, BackgroundRefreshLosesNoUploadSubmittedMidRefresh) {
-  const auto videos = tiny_campaign(819);
-  ASSERT_GE(videos.size(), 4u);
-  const std::string building = videos.front().building;
-  const int floor = videos.front().floor;
-
-  auto config = co::PipelineConfig::fast_profile();
-  config.incremental.background_refresh = true;
-  auto client = make_client(std::move(config));
-  // Every admission schedules a background refresh, so once a corpus
-  // exists the uploads that follow land while a refresh has it on loan.
-  const std::size_t half = videos.size() / 2;
-  for (std::size_t v = 0; v < half; ++v) {
-    ASSERT_TRUE(client.submit_video(videos[v]).status.ok());
-  }
-  client.drain();
-  for (std::size_t v = half; v < videos.size(); ++v) {
-    ASSERT_TRUE(client.submit_video(videos[v]).status.ok());
-  }
-  const auto built = client.build_plan({building, floor, std::nullopt, {}});
-
-  auto cold = make_client();
-  for (const auto& video : videos) ASSERT_TRUE(cold.submit_video(video).status.ok());
-  const auto scratch = cold.build_plan({building, floor, std::nullopt, {}});
-
-  EXPECT_EQ(built.result.diagnostics.trajectories_kept,
-            scratch.result.diagnostics.trajectories_kept);
-  EXPECT_EQ(plan_bytes(built.result), plan_bytes(scratch.result));
-}
-
 TEST(Api, RepeatBuildReusesEverythingAndKeepsConfigHoisted) {
   // Regression for the per-build config/state rebuild: a second build over
   // an unchanged corpus must replay every cached stage (the planner keeps
@@ -357,28 +581,6 @@ TEST(Api, MalformedCacheSnapshotRejectsCleanlyAndFallsBackCold) {
   EXPECT_EQ(after.cache.artifact_hits, 0u);
 }
 
-TEST(Api, BackgroundRefreshServesLatestPlanWithoutABuildCall) {
-  auto config = co::PipelineConfig::fast_profile();
-  config.incremental.background_refresh = true;
-  auto client = make_client(std::move(config));
-
-  const auto videos = tiny_campaign(814);
-  const std::string building = videos.front().building;
-  const int floor = videos.front().floor;
-  EXPECT_EQ(client.latest_plan(building, floor), nullptr);
-  for (const auto& video : videos) ASSERT_TRUE(client.submit_video(video).status.ok());
-  client.drain();
-
-  const auto latest = client.latest_plan(building, floor);
-  ASSERT_NE(latest, nullptr);
-  EXPECT_GT(latest->diagnostics.trajectories_kept, 0u);
-
-  // A foreground build over the same corpus returns the same bytes the
-  // background refresh computed.
-  const auto built = client.build_plan({building, floor, std::nullopt, {}});
-  EXPECT_EQ(plan_bytes(*latest), plan_bytes(built.result));
-}
-
 TEST(Api, DisabledCacheStillBuildsIdenticalPlans) {
   auto config = co::PipelineConfig::fast_profile();
   config.incremental.artifact_cache_bytes = 0;  // caching off
@@ -468,6 +670,38 @@ TEST(Api, ConcurrentFloorBuildsReportTheirOwnDiagnostics) {
       EXPECT_EQ(got[b], solo[b]) << "building " << b << " rep " << rep;
     }
   }
+}
+
+TEST(Api, FloorDegradationReportsCountOnlyTheirOwnLosses) {
+  // Two buildings on one node. Every upload of B fails to decode: it goes in
+  // through submit_upload with no side-table entry and no fallback decoder.
+  // B's report counts those losses; A's clean build counts none of them.
+  const auto a = named_campaign(833, "A", 0);
+  const auto b = named_campaign(834, "B", 1000);
+  auto client = make_client();
+  for (const auto& video : a) {
+    ASSERT_TRUE(client.submit_video(video).status.ok());
+  }
+  for (const auto& video : b) {
+    ap::SubmitUploadRequest request;
+    request.upload_id = "video-" + std::to_string(video.video_id);
+    request.building = video.building;
+    request.floor = video.floor;
+    request.payload = crowdmap::sensors::encode_imu(video.imu);
+    ASSERT_TRUE(client.submit_upload(request).status.ok());
+  }
+  const auto built_a =
+      client.build_plan({"A", a.front().floor, std::nullopt, {}});
+  const auto built_b =
+      client.build_plan({"B", b.front().floor, std::nullopt, {}});
+  EXPECT_EQ(client.stats().decode_failures, b.size());
+
+  EXPECT_EQ(built_a.degradation.uploads_lost_decode, 0u);
+  EXPECT_EQ(built_a.degradation.sensor_dropouts, 0u);
+  EXPECT_FALSE(built_a.degradation.degraded())
+      << built_a.degradation.to_string();
+  EXPECT_EQ(built_b.degradation.uploads_lost_decode, b.size());
+  EXPECT_EQ(built_b.result.diagnostics.trajectories_kept, 0u);
 }
 
 TEST(Api, RepeatedBuildsCountEachUploadOnce) {

@@ -36,9 +36,9 @@ namespace fp = crowdmap::floorplan;
 
 namespace {
 
-/// Seed for the chaos schedules: the CI cluster-chaos matrix overrides it
-/// via CROWDMAP_FAULT_SEED so the same binary covers several timelines —
-/// the byte-identity assertions must hold for every seed.
+/// Seed for the chaos schedules: the CI chaos matrix overrides it via
+/// CROWDMAP_FAULT_SEED so the same binary covers several timelines — the
+/// byte-identity assertions must hold for every seed.
 std::string chaos_seed() {
   std::uint64_t seed = 0;
   if (cc::env_fault_seed(seed)) return std::to_string(seed);
@@ -94,7 +94,7 @@ std::string run_campaign(const std::vector<cs::SensorRichVideo>& videos,
 }
 
 /// On divergence, keep both serialized plans so CI uploads them as
-/// artifacts (the cluster-chaos job's debugging trail).
+/// artifacts (the chaos job's debugging trail).
 void dump_divergence(const std::string& label, const std::string& reference,
                      const std::string& actual) {
   const std::filesystem::path dir = "cluster_divergence";
@@ -479,7 +479,7 @@ TEST(Cluster, MembershipChangesRebalanceAndPreservePlanBytes) {
   EXPECT_EQ(build(client, videos.front()), reference);
 }
 
-TEST(Cluster, ShardLogSegmentsShipAndReplayByteForByte) {
+TEST(Cluster, CommittedRecordsReachEveryReplicaStore) {
   // Seqnos are dense, and every committed record ships to the replica and
   // replays through its front door: both nodes of the shard end up holding
   // each upload's document byte for byte.

@@ -75,7 +75,11 @@ TEST(ConfigOverrides, UnknownKeyThrows) {
   for (const char* line :
        {"match.hs = 0.7\n", "cluster.replicas = 2\n", "layout.shards = 3\n",
         "skeleton.dilate = 4\n", "parallel.s2_cache = 123\n",
-        "parallel.s2_cache_capacity = 123\n", "simd.match_tile = 64\n"}) {
+        "parallel.s2_cache_capacity = 123\n", "simd.match_tile = 64\n",
+        "cache.background_refresh = true\n", "flight.dump_on_anomaly = true\n",
+        "flight.ring_capacity = 64\n", "slo.extract_p99_ms = 50\n",
+        "slo.ingest_queue_depth_max = 8\n",
+        "slo.plan_refresh_p99_ms = 500\n"}) {
     co::PipelineConfig config;
     const auto file = cc::ConfigFile::parse(line);
     EXPECT_THROW(co::apply_config_overrides(config, file), std::runtime_error)
@@ -94,12 +98,9 @@ TEST(ConfigOverrides, AbsentKeysLeaveDefaults) {
 
 TEST(ConfigOverrides, CacheKeysApply) {
   co::PipelineConfig config;
-  const auto file = cc::ConfigFile::parse(
-      "cache.artifact_bytes = 1024\n"
-      "cache.background_refresh = true\n");
+  const auto file = cc::ConfigFile::parse("cache.artifact_bytes = 1024\n");
   co::apply_config_overrides(config, file);
   EXPECT_EQ(config.incremental.artifact_cache_bytes, 1024u);
-  EXPECT_TRUE(config.incremental.background_refresh);
 }
 
 TEST(ConfigOverrides, UnparsableValueThrows) {
@@ -111,8 +112,7 @@ TEST(ConfigOverrides, UnparsableValueThrows) {
                    config, cc::ConfigFile::parse("match.h_s = 1.5zz\n")),
                std::runtime_error);
   EXPECT_THROW(co::apply_config_overrides(
-                   config,
-                   cc::ConfigFile::parse("cache.background_refresh = maybe\n")),
+                   config, cc::ConfigFile::parse("storage.fsync = maybe\n")),
                std::runtime_error);
   EXPECT_THROW(co::apply_config_overrides(
                    config, cc::ConfigFile::parse("cache.artifact_bytes = -1\n")),

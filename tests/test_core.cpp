@@ -81,16 +81,16 @@ TEST(Pipeline, IngestTrajectoryGates) {
   EXPECT_TRUE(planner.trajectories().empty());
   // The build reports the rejected upload beside the (empty) corpus.
   const auto result = planner.refresh();
-  EXPECT_EQ(result->diagnostics.trajectories_dropped, 1u);
-  EXPECT_EQ(result->diagnostics.videos_ingested, 1u);
+  EXPECT_EQ(result.diagnostics.trajectories_dropped, 1u);
+  EXPECT_EQ(result.diagnostics.videos_ingested, 1u);
 }
 
 TEST(Pipeline, RunOnEmptyInputProducesEmptyPlan) {
   co::IncrementalPlanner planner(co::PipelineConfig::fast_profile());
   const auto result = planner.refresh();
-  EXPECT_EQ(result->diagnostics.trajectories_kept, 0u);
-  EXPECT_TRUE(result->plan.rooms.empty());
-  EXPECT_EQ(result->plan.hallway.count_set(), 0u);
+  EXPECT_EQ(result.diagnostics.trajectories_kept, 0u);
+  EXPECT_TRUE(result.plan.rooms.empty());
+  EXPECT_EQ(result.plan.hallway.count_set(), 0u);
 }
 
 TEST(Pipeline, EndToEndSmallCampaign) {
@@ -105,8 +105,7 @@ TEST(Pipeline, EndToEndSmallCampaign) {
 
   // Build in the planner's own frame (no truth alignment): structure checks
   // only.
-  const auto built = planner.refresh();
-  const auto& result = *built;
+  const auto result = planner.refresh();
 
   const auto& d = result.diagnostics;
   EXPECT_EQ(d.videos_ingested, spec.rooms.size() + 8);
@@ -130,8 +129,8 @@ TEST(Pipeline, TraceAgreesWithDiagnostics) {
   ingest_campaign(planner, spec, options, 233);
   const auto result = planner.refresh();
 
-  const auto& d = result->diagnostics;
-  const auto& trace = result->trace;
+  const auto& d = result.diagnostics;
+  const auto& trace = result.trace;
   ASSERT_NE(trace.find("run"), nullptr);
   EXPECT_NEAR(trace.total_seconds("aggregate"), d.aggregate_seconds, 1e-3);
   EXPECT_NEAR(trace.total_seconds("skeleton"), d.skeleton_seconds, 1e-3);
@@ -171,8 +170,8 @@ TEST(Pipeline, WorldFrameControlsExtent) {
   co::WorldFrame frame;
   frame.extent = spec.extent();
   const auto result = planner.refresh(frame);
-  EXPECT_NEAR(result->plan.hallway.extent().min.x, spec.extent().min.x, 1e-9);
-  EXPECT_NEAR(result->plan.hallway.extent().max.y, spec.extent().max.y, 1e-9);
+  EXPECT_NEAR(result.plan.hallway.extent().min.x, spec.extent().min.x, 1e-9);
+  EXPECT_NEAR(result.plan.hallway.extent().max.y, spec.extent().max.y, 1e-9);
 }
 
 TEST(Pipeline, RoomDedupMergesRevisits) {
@@ -187,5 +186,5 @@ TEST(Pipeline, RoomDedupMergesRevisits) {
   const auto result = planner.refresh();
   // No more reconstructed rooms than real rooms (dedup worked), allowing one
   // spurious extra in the worst case.
-  EXPECT_LE(result->rooms.size(), spec.rooms.size() + 1);
+  EXPECT_LE(result.rooms.size(), spec.rooms.size() + 1);
 }

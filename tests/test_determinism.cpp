@@ -5,6 +5,8 @@
 // must not leak into the bytes either.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "api/v2.hpp"
@@ -45,7 +47,7 @@ crowdmap::io::Bytes serialized_run(std::uint64_t seed, std::size_t threads) {
         (void)planner.ingest(crowdmap::trajectory::extract_trajectory(
             video, planner.config().extraction));
       });
-  return crowdmap::floorplan::encode_floorplan(planner.refresh()->plan);
+  return crowdmap::floorplan::encode_floorplan(planner.refresh().plan);
 }
 
 std::vector<cs::SensorRichVideo> campaign_videos(std::uint64_t seed) {
@@ -137,4 +139,49 @@ TEST(Determinism, IncrementalRefreshMatchesColdAtAnyThreadCount) {
     EXPECT_EQ(incremental_plan(videos, 1), reference) << "seed " << seed;
     EXPECT_EQ(incremental_plan(videos, 3), reference) << "seed " << seed;
   }
+}
+
+TEST(Determinism, AdmissionsDuringARefreshAreKept) {
+  // ingest() may land while a refresh holds the corpus; the next refresh
+  // must fold it in. A planner on a 4-thread pool refreshes in a loop while
+  // a second thread admits the campaign's second half one trajectory at a
+  // time, each admission waiting for a refresh to finish so that they spread
+  // over many refreshes. One more refresh must then serialize like a cold
+  // planner over every trajectory.
+  const auto videos = campaign_videos(819);
+  ASSERT_GE(videos.size(), 4u);
+  co::PipelineConfig config = co::PipelineConfig::fast_profile();
+  config.parallel.threads = 4;
+  std::vector<crowdmap::trajectory::Trajectory> trajectories;
+  for (const auto& video : videos) {
+    trajectories.push_back(
+        crowdmap::trajectory::extract_trajectory(video, config.extraction));
+  }
+
+  co::IncrementalPlanner cold(config);
+  for (const auto& traj : trajectories) (void)cold.ingest(traj);
+  const auto reference =
+      crowdmap::floorplan::encode_floorplan(cold.refresh().plan);
+
+  co::IncrementalPlanner planner(config);
+  const std::size_t half = trajectories.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) (void)planner.ingest(trajectories[i]);
+  std::atomic<std::size_t> refreshes{0};
+  std::atomic<bool> admitted{false};
+  std::thread admitter([&] {
+    for (std::size_t i = half; i < trajectories.size(); ++i) {
+      const std::size_t seen = refreshes.load();
+      (void)planner.ingest(trajectories[i]);
+      while (refreshes.load() == seen) std::this_thread::yield();
+    }
+    admitted = true;
+  });
+  while (!admitted.load()) {
+    (void)planner.refresh();
+    refreshes.fetch_add(1);
+  }
+  admitter.join();
+  EXPECT_GT(refreshes.load(), trajectories.size() - half);
+  EXPECT_EQ(crowdmap::floorplan::encode_floorplan(planner.refresh().plan),
+            reference);
 }

@@ -12,9 +12,9 @@
 // write history, across >=3 seeds); a restarted service recovers the
 // survivor, the campaign is re-submitted (planner admission is idempotent by
 // video_id), and the rebuilt FloorPlan must serialize byte-identical to an
-// uncrashed reference run — at 1 and at 4 worker threads. The CI
-// durability-chaos matrix re-runs this suite at several CROWDMAP_FAULT_SEED
-// values; on divergence the mismatched plan bytes are written under
+// uncrashed reference run — at 1 and at 4 worker threads. The CI chaos
+// matrix re-runs this suite at several CROWDMAP_FAULT_SEED values; on
+// divergence the mismatched plan bytes are written under
 // durability_divergence/ for artifact upload.
 #include <gtest/gtest.h>
 
@@ -45,8 +45,8 @@ namespace io = crowdmap::io;
 
 namespace {
 
-/// Seeds for the crash matrix. The CI durability-chaos matrix overrides the
-/// first one via CROWDMAP_FAULT_SEED so each leg walks a different timeline.
+/// Seeds for the crash matrix. The CI chaos matrix overrides the first one
+/// via CROWDMAP_FAULT_SEED so each leg walks a different timeline.
 std::vector<std::uint64_t> matrix_seeds() {
   std::vector<std::uint64_t> seeds{1301, 2477, 9043};
   std::uint64_t env_seed = 0;
@@ -63,7 +63,7 @@ bool is_damage_evidence(const cl::Document& doc) {
 }
 
 /// Writes reference/actual bytes for CI artifact upload when a byte
-/// comparison fails (the durability-chaos job uploads this directory).
+/// comparison fails (the chaos and ASan jobs upload this directory).
 void write_divergence(const std::string& name, const io::Bytes& reference,
                       const io::Bytes& actual) {
   std::error_code ec;

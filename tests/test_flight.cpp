@@ -1,9 +1,8 @@
 // Flight-recorder suite: ring semantics (wraparound, drop accounting,
 // disarmed no-ops), the versioned binary codec and its error codes, the
 // deterministic-dump normalization contract (byte-identical at any thread
-// count, same as serialized FloorPlans), anomaly dump budgeting, the chaos
-// harness firing dump-on-anomaly, and the recorder never changing plan
-// bytes.
+// count, same as serialized FloorPlans), chaos-harness fault fires landing
+// in the dump, and the recorder never changing plan bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -169,53 +168,6 @@ TEST(Flight, DeterministicDumpFiltersRacyKindsAndNormalizes) {
   EXPECT_EQ(dump.events[1].kind, FlightEventKind::kFaultFired);
 }
 
-// ---------------------------------------------------------- anomaly dumps ---
-
-TEST(Flight, AnomalyDumpsAreBudgetedAndDumpNowIsNot) {
-  obs::FlightOptions options;
-  options.dump_on_anomaly = true;
-  options.max_anomaly_dumps = 2;
-  obs::FlightRecorder flight(options);
-  int dumps = 0;
-  std::vector<std::string> reasons;
-  flight.set_dump_sink([&](const obs::FlightDump&, std::string_view reason) {
-    ++dumps;
-    reasons.emplace_back(reason);
-  });
-
-  for (int i = 0; i < 5; ++i) {
-    flight.record_named(FlightEventKind::kFaultFired, 0, "decode.fail");
-  }
-  EXPECT_EQ(dumps, 2);
-  EXPECT_EQ(flight.anomaly_dumps(), 2u);
-  ASSERT_EQ(reasons.size(), 2u);
-  EXPECT_EQ(reasons[0], "anomaly:fault_fired");
-
-  // Non-anomalous kinds never trigger a dump.
-  flight.record(FlightEventKind::kCacheHit, 0, 1);
-  EXPECT_EQ(dumps, 2);
-
-  // dump_now() bypasses the budget.
-  flight.dump_now("operator");
-  EXPECT_EQ(dumps, 3);
-  EXPECT_EQ(reasons.back(), "operator");
-  EXPECT_EQ(flight.anomaly_dumps(), 2u);
-}
-
-TEST(Flight, DumpOnAnomalyOptionAloneArmsDumps) {
-  // The option is the only switch: a recorder built with it, as the node
-  // services and the router build theirs, dumps with no further call.
-  obs::FlightOptions options;
-  options.dump_on_anomaly = true;
-  obs::FlightRecorder flight(options);
-  int dumps = 0;
-  flight.set_dump_sink(
-      [&](const obs::FlightDump&, std::string_view) { ++dumps; });
-  flight.record_named(FlightEventKind::kFaultFired, 0, "cluster.partition");
-  EXPECT_EQ(dumps, 1);
-  EXPECT_EQ(flight.anomaly_dumps(), 1u);
-}
-
 // ---------------------------------------------------- planner contracts ---
 
 /// Renders a seeded campaign and admits every upload to `planner`.
@@ -251,15 +203,18 @@ PipelineRun seeded_run(std::size_t threads, bool flight_enabled,
   co::PipelineConfig config = co::PipelineConfig::fast_profile();
   config.parallel.threads = threads;
   config.flight.enabled = flight_enabled;
-  config.flight.ring_capacity = 1u << 16;  // no wraparound in this workload
   config.faults = std::move(faults);
+  obs::FlightOptions flight_options;
+  flight_options.ring_capacity = 1u << 16;  // no wraparound in this workload
+  obs::FlightRecorder recorder(flight_options);
   // The planner without the service around it is the unit under test here.
-  co::IncrementalPlanner planner(config);
+  co::IncrementalPlanner planner(config, nullptr, nullptr,
+                                 flight_enabled ? &recorder : nullptr);
   ingest_campaign(planner, spec, options, 777);
 
   PipelineRun out;
   out.plan_bytes =
-      crowdmap::floorplan::encode_floorplan(planner.refresh()->plan);
+      crowdmap::floorplan::encode_floorplan(planner.refresh().plan);
   if (obs::FlightRecorder* flight = planner.flight_recorder()) {
     out.deterministic_dump = flight->deterministic_dump();
     out.dropped = flight->dropped();
@@ -287,7 +242,7 @@ TEST(Flight, DeterministicDumpIsByteIdenticalAcrossThreadCounts) {
             obs::encode_flight_dump(parallel.deterministic_dump));
 }
 
-TEST(Flight, ChaosFaultFiresAnomalyDump) {
+TEST(Flight, ChaosFaultFireIsRecordedWithItsPointName) {
   cc::FaultPlan plan;
   plan.seed = 99;
   plan.settings.push_back(
@@ -306,32 +261,25 @@ TEST(Flight, ChaosFaultFiresAnomalyDump) {
   co::PipelineConfig config = co::PipelineConfig::fast_profile();
   config.parallel.threads = 2;
   config.flight.enabled = true;
-  config.flight.dump_on_anomaly = true;
   config.faults = plan;
   co::IncrementalPlanner planner(config);
-
-  int dumps = 0;
-  std::string first_reason;
   ASSERT_NE(planner.flight_recorder(), nullptr);
-  planner.flight_recorder()->set_dump_sink(
-      [&](const obs::FlightDump& dump, std::string_view reason) {
-        if (dumps++ == 0) first_reason = std::string(reason);
-        EXPECT_FALSE(dump.events.empty());
-      });
 
   ingest_campaign(planner, spec, options, 777);
   const auto result = planner.refresh();
-  ASSERT_FALSE(crowdmap::floorplan::encode_floorplan(result->plan).empty());
-
-  EXPECT_GE(planner.flight_recorder()->anomaly_dumps(), 1u);
-  EXPECT_GE(dumps, 1);
-  EXPECT_EQ(first_reason.rfind("anomaly:", 0), 0u) << first_reason;
+  ASSERT_FALSE(crowdmap::floorplan::encode_floorplan(result.plan).empty());
 
   // The fired fault is in the dump, with its point name interned.
   const obs::FlightDump dump = planner.flight_recorder()->dump();
+  const std::string_view point =
+      cc::fault_point_name(cc::faults::kStagePanoramaFail);
   bool saw_fault = false;
   for (const auto& event : dump.events) {
-    if (event.kind == FlightEventKind::kFaultFired) saw_fault = true;
+    if (event.kind != FlightEventKind::kFaultFired) continue;
+    saw_fault = true;
+    const auto name = dump.strings.find(event.a);
+    ASSERT_NE(name, dump.strings.end());
+    EXPECT_EQ(name->second, point);
   }
   EXPECT_TRUE(saw_fault);
 }

@@ -90,8 +90,7 @@ TEST_P(RandomBuildingSweep, PipelinePlacesAndReconstructs) {
         (void)planner.ingest(crowdmap::trajectory::extract_trajectory(
             video, planner.config().extraction));
       });
-  const auto built = planner.refresh();
-  const auto& result = *built;
+  const auto result = planner.refresh();
 
   // Invariants that must hold at any scale:
   EXPECT_LE(result.diagnostics.trajectories_placed,

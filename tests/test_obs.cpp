@@ -1,8 +1,8 @@
 // Tests for the observability layer: metric semantics (counter / gauge /
 // histogram), registry identity and type safety, concurrent updates, trace
 // span nesting and exclusive-time math, golden-format checks of the
-// Prometheus / JSON / trace_event exporters, snapshot lookup (absent vs
-// zero), percentile derivation and the SLO watchdog.
+// Prometheus / JSON / trace_event exporters and snapshot lookup (absent vs
+// zero).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,7 +15,6 @@
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 
@@ -342,121 +341,6 @@ TEST(Metrics, FindSeriesMatchesLabelsInAnyOrder) {
       snapshot.find_series("g", {{"b", "2"}, {"a", "1"}});
   ASSERT_NE(series, nullptr);
   EXPECT_EQ(series->value, 5.0);
-}
-
-// --------------------------------------------------------- percentiles ---
-
-namespace {
-
-obs::HistogramSnapshot make_histogram(std::vector<double> bounds,
-                                      std::vector<std::uint64_t> counts) {
-  obs::HistogramSnapshot h;
-  h.upper_bounds = std::move(bounds);
-  h.bucket_counts = std::move(counts);  // non-cumulative, +Inf last
-  for (const auto c : h.bucket_counts) h.count += c;
-  return h;
-}
-
-}  // namespace
-
-TEST(Slo, HistogramQuantileInterpolatesWithinBucket) {
-  // 2 observations in (0, 1], 2 in (1, 2], none beyond.
-  const auto h = make_histogram({1.0, 2.0}, {2, 2, 0});
-  EXPECT_DOUBLE_EQ(obs::histogram_quantile(h, 0.25), 0.5);
-  EXPECT_DOUBLE_EQ(obs::histogram_quantile(h, 0.50), 1.0);
-  EXPECT_DOUBLE_EQ(obs::histogram_quantile(h, 0.75), 1.5);
-  EXPECT_DOUBLE_EQ(obs::histogram_quantile(h, 1.00), 2.0);
-}
-
-TEST(Slo, HistogramQuantileClampsInfBucketToHighestFiniteBound) {
-  const auto h = make_histogram({1.0, 2.0}, {1, 0, 1});
-  EXPECT_DOUBLE_EQ(obs::histogram_quantile(h, 0.99), 2.0);
-}
-
-TEST(Slo, HistogramQuantileEmptyIsZero) {
-  EXPECT_DOUBLE_EQ(obs::histogram_quantile(obs::HistogramSnapshot{}, 0.99),
-                   0.0);
-}
-
-TEST(Slo, PercentilesBundleIsMonotone) {
-  const auto h = make_histogram({0.1, 1.0, 10.0}, {90, 9, 1, 0});
-  const obs::Percentiles p = obs::percentiles(h);
-  EXPECT_LE(p.p50, p.p95);
-  EXPECT_LE(p.p95, p.p99);
-  EXPECT_GT(p.p99, 0.1);  // the slow tail lives above the first bucket
-}
-
-// ------------------------------------------------------------ watchdog ---
-
-TEST(Slo, WatchdogAbsentSeriesIsNotABreach) {
-  auto registry = std::make_shared<obs::MetricsRegistry>();
-  obs::SloWatchdog watchdog(registry);
-  watchdog.add({"lat_p99_ms", "crowdmap_never_observed_seconds", {},
-                obs::SloKind::kHistogramQuantile, 0.99, 100.0, 1000.0});
-  EXPECT_TRUE(watchdog.evaluate().empty());
-  EXPECT_EQ(watchdog.breaches_total(), 0u);
-  // The breach counter exists (registered eagerly) but stays at zero.
-  EXPECT_EQ(registry->snapshot().value("crowdmap_slo_breaches_total",
-                                       {{"slo", "lat_p99_ms"}}),
-            0.0);
-}
-
-TEST(Slo, WatchdogBreachIncrementsCounterAndRecordsFlightEvent) {
-  auto registry = std::make_shared<obs::MetricsRegistry>();
-  obs::FlightOptions options;
-  options.dump_on_anomaly = true;
-  obs::FlightRecorder flight(options);
-  int dumps = 0;
-  std::string last_reason;
-  flight.set_dump_sink([&](const obs::FlightDump&, std::string_view reason) {
-    ++dumps;
-    last_reason = std::string(reason);
-  });
-
-  auto& h = registry->histogram("lat_seconds", {},
-                                obs::Histogram::default_latency_buckets(),
-                                "latency");
-  for (int i = 0; i < 10; ++i) h.observe(0.9);  // p99 ≈ 1000 ms
-
-  obs::SloWatchdog watchdog(registry, &flight);
-  watchdog.add({"lat_p99_ms", "lat_seconds", {},
-                obs::SloKind::kHistogramQuantile, 0.99, 500.0, 1000.0});
-  const auto breaches = watchdog.evaluate();
-  ASSERT_EQ(breaches.size(), 1u);
-  EXPECT_EQ(breaches[0].slo, "lat_p99_ms");
-  EXPECT_GT(breaches[0].observed, 500.0);
-  EXPECT_EQ(watchdog.breaches_total(), 1u);
-  EXPECT_EQ(registry->snapshot().value("crowdmap_slo_breaches_total",
-                                       {{"slo", "lat_p99_ms"}}),
-            1.0);
-
-  // The breach was recorded as a flight event and triggered an anomaly dump.
-  EXPECT_EQ(dumps, 1);
-  EXPECT_EQ(last_reason, "anomaly:slo_breach");
-  const obs::FlightDump dump = flight.dump();
-  bool saw_breach = false;
-  for (const auto& event : dump.events) {
-    if (event.kind == obs::FlightEventKind::kSloBreach) saw_breach = true;
-  }
-  EXPECT_TRUE(saw_breach);
-  // The SLO name is interned so dumps stay readable.
-  bool named = false;
-  for (const auto& [hash, name] : dump.strings) {
-    if (name == "lat_p99_ms") named = true;
-  }
-  EXPECT_TRUE(named);
-}
-
-TEST(Slo, WatchdogGaugeMaxKind) {
-  auto registry = std::make_shared<obs::MetricsRegistry>();
-  registry->gauge("depth", {}, "queue depth").set(12);
-  obs::SloWatchdog watchdog(registry);
-  watchdog.add({"depth_max", "depth", {}, obs::SloKind::kGaugeMax, 0.99,
-                10.0, 1.0});
-  EXPECT_EQ(watchdog.evaluate().size(), 1u);
-  registry->gauge("depth", {}, "queue depth").set(3);
-  EXPECT_TRUE(watchdog.evaluate().empty());
-  EXPECT_EQ(watchdog.breaches_total(), 1u);
 }
 
 // --------------------------------------------------------- trace export ---

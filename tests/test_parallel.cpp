@@ -316,7 +316,7 @@ co::PipelineResult run_small_campaign(std::size_t threads) {
         (void)planner.ingest(
             ct::extract_trajectory(video, planner.config().extraction));
       });
-  return *planner.refresh();
+  return planner.refresh();
 }
 
 }  // namespace

@@ -111,32 +111,6 @@ TEST(Service, StatsMatchMetricsRegistry) {
   EXPECT_DOUBLE_EQ(snap.value("crowdmap_worker_queue_depth", node0), 0.0);
 }
 
-TEST(Service, SloConfigArmsTheNodeWatchdog) {
-  // slo.* keys build a watchdog in each node's service, evaluated after every
-  // build. A p99 bound far below any real refresh breaches on the first one.
-  const crowdmap::obs::Labels series{{"slo", "plan_refresh_p99_ms"},
-                                     {"node", "node-0"}};
-  const auto videos = small_campaign(707);
-  const auto build_once = [&](double threshold_ms) {
-    ap::ClientOptions options;
-    options.config = co::PipelineConfig::fast_profile();
-    options.config.slo.plan_refresh_p99_ms = threshold_ms;
-    ap::Client client(std::move(options));
-    for (const auto& video : videos) (void)client.submit_video(video);
-    return client
-        .build_plan({videos.front().building, videos.front().floor,
-                     std::nullopt, {}})
-        .metrics;
-  };
-
-  const auto armed = build_once(0.001);
-  ASSERT_TRUE(armed.has("crowdmap_slo_breaches_total", series));
-  EXPECT_EQ(armed.value("crowdmap_slo_breaches_total", series), 1.0);
-
-  const auto disarmed = build_once(0.0);
-  EXPECT_FALSE(disarmed.has("crowdmap_slo_breaches_total", series));
-}
-
 TEST(Service, ArtifactCacheCountersSurfaceInStatsAndMetrics) {
   auto client = make_client();
   const auto videos = small_campaign(705);

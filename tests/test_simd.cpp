@@ -610,7 +610,7 @@ TEST(SimdPipeline, FloorPlanBytesInvariantToDispatchAndThreads) {
           (void)planner.ingest(crowdmap::trajectory::extract_trajectory(
               video, planner.config().extraction));
         });
-    return crowdmap::floorplan::encode_floorplan(planner.refresh()->plan);
+    return crowdmap::floorplan::encode_floorplan(planner.refresh().plan);
   };
   const auto baseline = run(true, 1);
   ASSERT_FALSE(baseline.empty());

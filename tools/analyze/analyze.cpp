@@ -82,7 +82,7 @@ const std::vector<LayerInfo> kLayers = {
     {1, "cluster"},    {1, "core"},
     {2, "cache"},      {2, "cloud"},     {2, "eval"},
     {3, "vision"},     {3, "room"},      {3, "floorplan"}, {3, "mapping"},
-    {3, "trajectory"}, {3, "localize"},  {3, "wifi"},      {3, "baselines"},
+    {3, "trajectory"}, {3, "wifi"},      {3, "baselines"},
     {4, "imaging"},    {4, "geometry"},  {4, "sensors"},   {4, "sim"},
     {4, "io"},         {4, "obs"},       {4, "storage"},
     {5, "common"},

@@ -1,7 +1,6 @@
 // Ablation — the corner-consistency term in layout scoring (Fig. 5's
 // vertical wall-joint lines): room area/aspect error with the corner term
 // off, default, and strong.
-#include <cmath>
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -41,8 +40,8 @@ int main() {
     const auto& kf = traj.keyframes[candidates.front().keyframe_indices.front()];
     RoomPano rp;
     rp.image = pano.image;
-    rp.focal = kf.gray.width() / (2.0 * std::tan(stitch.fov / 2.0)) *
-               stitch.output_height / std::max(kf.gray.height(), 1);
+    rp.focal =
+        room::panorama_focal_px(kf.gray.width(), kf.gray.height(), stitch);
     rp.true_w = room.width;
     rp.true_d = room.depth;
     panos.push_back(std::move(rp));

@@ -2,7 +2,6 @@
 // 20,000 layout models per panorama. Sweeps the sample count (with the
 // data-driven seeds disabled, so this measures pure random-sampling
 // convergence) and reports room area error.
-#include <cmath>
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -40,8 +39,8 @@ int main() {
     const auto& kf = traj.keyframes[candidates.front().keyframe_indices.front()];
     RoomPano rp;
     rp.image = pano.image;
-    rp.focal = kf.gray.width() / (2.0 * std::tan(stitch.fov / 2.0)) *
-               stitch.output_height / std::max(kf.gray.height(), 1);
+    rp.focal =
+        room::panorama_focal_px(kf.gray.width(), kf.gray.height(), stitch);
     rp.true_area = room.area();
     panos.push_back(std::move(rp));
   }

@@ -3,7 +3,6 @@
 // (room wander -> bounding box), across all three buildings.
 #pragma once
 
-#include <cmath>
 #include <iostream>
 #include <vector>
 
@@ -51,10 +50,8 @@ struct RoomErrorSamples {
         const auto pano = room::stitch_candidate(traj, candidates.front(), stitch);
         room::LayoutConfig layout_config;
         const auto& kf = traj.keyframes[candidates.front().keyframe_indices.front()];
-        const double frame_focal =
-            kf.gray.width() / (2.0 * std::tan(stitch.fov / 2.0));
         layout_config.focal_px =
-            frame_focal * stitch.output_height / std::max(kf.gray.height(), 1);
+            room::panorama_focal_px(kf.gray.width(), kf.gray.height(), stitch);
         if (const auto layout = room::estimate_layout(pano.image, layout_config)) {
           samples.visual_area.push_back(
               common::relative_error(layout->area(), room.area()));

@@ -1,14 +1,14 @@
 // Flight-recorder hot-path overhead: record() on a disarmed recorder (one
 // relaxed load + branch), record() armed (steady-clock read + five relaxed
 // atomic stores into the thread-local ring), armed recording under thread
-// contention, and the cold-path dump/codec costs.
+// contention, and the cold-path deterministic dump.
 //
 // Emits BENCH_obs.json. The acceptance bar is record_enabled_ns <= ~50 ns —
 // cheap enough that the recorder ships always-on (docs/OBSERVABILITY.md);
-// bench/baselines/TOLERANCES.conf pins it through tools/bench_gate.
+// bench/baselines/TOLERANCES.conf pins it through tools/bench_gate, and pins
+// dump_events exactly: every ring is full, so the dump holds rings x 4096.
 #include <cstddef>
 #include <cstdint>
-#include <iostream>
 #include <thread>
 #include <vector>
 
@@ -76,27 +76,17 @@ int main() {
   }
   bench::emit_bench_json(kBench, "record_contended_4t_ns", contended);
 
-  // Cold path: merge + normalize the rings, then round-trip the codec.
+  // Cold path: merge + normalize the rings.
   std::vector<double> dump_ms;
-  std::vector<double> codec_ms;
-  std::size_t encoded_bytes = 0;
+  std::size_t dump_events = 0;
   for (int r = 0; r < kRepeats; ++r) {
     common::Stopwatch timer;
     const obs::FlightDump dump = flight.deterministic_dump();
     dump_ms.push_back(timer.elapsed_seconds() * 1e3);
-    timer.restart();
-    const auto bytes = obs::encode_flight_dump(dump);
-    const auto decoded = obs::decode_flight_dump(bytes);
-    codec_ms.push_back(timer.elapsed_seconds() * 1e3);
-    encoded_bytes = bytes.size();
-    if (!decoded.ok() || decoded.value().events.size() != dump.events.size()) {
-      std::cerr << "codec round-trip mismatch\n";
-      return 1;
-    }
+    dump_events = dump.events.size();
   }
   bench::emit_bench_json(kBench, "deterministic_dump_ms", dump_ms);
-  bench::emit_bench_json(kBench, "codec_roundtrip_ms", codec_ms);
-  bench::emit_bench_scalar(kBench, "dump_encoded_bytes",
-                           static_cast<double>(encoded_bytes));
+  bench::emit_bench_scalar(kBench, "dump_events",
+                           static_cast<double>(dump_events));
   return 0;
 }

@@ -4,7 +4,6 @@
 // Emits BENCH_parallel.json lines: per-stage wall-clock at each thread count,
 // the threads=4 vs threads=1 speedup ratios, and the host's core count (a speedup can only materialize when the hardware has
 // cores to spend — single-core CI runners will report ~1x by construction).
-#include <cmath>
 #include <cstddef>
 #include <iostream>
 #include <memory>
@@ -16,6 +15,7 @@
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "room/layout.hpp"
+#include "room/panorama_select.hpp"
 #include "trajectory/aggregate.hpp"
 #include "trajectory/trajectory.hpp"
 #include "vision/panorama.hpp"
@@ -88,8 +88,7 @@ int main() {
 
   room::LayoutConfig layout_config;
   layout_config.hypotheses = 20000;  // the paper's full sweep
-  const double frame_focal = intr.width / (2.0 * std::tan(sp.fov / 2.0));
-  layout_config.focal_px = frame_focal * sp.output_height / intr.height;
+  layout_config.focal_px = room::panorama_focal_px(intr.width, intr.height, sp);
 
   std::vector<double> layout_means;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {

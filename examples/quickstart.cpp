@@ -57,9 +57,11 @@ int main() {
   std::cout << "\nReconstructed floor plan (# hallway, R room):\n"
             << run.result.plan.to_ascii(90);
 
-  std::cout << "\nStage timings: aggregate=" << eval::fmt(d.aggregate_seconds, 1)
-            << "s skeleton=" << eval::fmt(d.skeleton_seconds, 1)
-            << "s rooms=" << eval::fmt(d.rooms_seconds, 1)
-            << "s arrange=" << eval::fmt(d.arrange_seconds, 1) << "s\n";
+  std::cout << "\nStage timings:";
+  for (const auto& stage : run.result.trace.find("run")->children) {
+    std::cout << ' ' << stage.name << '=' << eval::fmt(stage.duration_seconds, 1)
+              << 's';
+  }
+  std::cout << '\n';
   return 0;
 }

@@ -321,7 +321,7 @@ std::size_t Client::add_node() {
   make_node_locked(index);
   ring_.rebuild(alive_indices_locked());
   nodes_gauge_->set(static_cast<double>(alive_indices_locked().size()));
-  if (options_.config.cluster.rebalance) rebalance_locked();
+  rebalance_locked();
   return index;
 }
 
@@ -339,7 +339,7 @@ bool Client::remove_node(std::size_t node) {
                 parked_.end());
   ring_.rebuild(alive_indices_locked());
   nodes_gauge_->set(static_cast<double>(alive_indices_locked().size()));
-  if (options_.config.cluster.rebalance) rebalance_locked();
+  rebalance_locked();
   return true;
 }
 

@@ -110,12 +110,12 @@ std::optional<sim::SensorRichVideo> Client::decode(
 }
 
 SubmitUploadResponse Client::submit_upload(const SubmitUploadRequest& request) {
-  return submit(std::nullopt, request);
+  return submit(std::nullopt, request, std::nullopt);
 }
 
 SubmitUploadResponse Client::submit_upload_to(
     std::size_t node, const SubmitUploadRequest& request) {
-  return submit(node, request);
+  return submit(node, request, std::nullopt);
 }
 
 SubmitUploadResponse Client::submit_video(const sim::SensorRichVideo& video,
@@ -128,15 +128,14 @@ SubmitUploadResponse Client::submit_video(const sim::SensorRichVideo& video,
   // the serialized inertial stream, so chunking sees realistic bytes.
   request.payload = sensors::encode_imu(video.imu);
   request.options = options;
-  {
-    common::MutexLock lock(videos_mutex_);
-    videos_[{video.building, video.floor, request.upload_id}] = video;
-  }
-  return submit_upload(request);
+  // Copied here, outside every lock; submit() files the copy only once it
+  // has admitted the request.
+  return submit(std::nullopt, request, video);
 }
 
 SubmitUploadResponse Client::submit(std::optional<std::size_t> forced_node,
-                                    const SubmitUploadRequest& request) {
+                                    const SubmitUploadRequest& request,
+                                    std::optional<sim::SensorRichVideo> video) {
   const FloorKey key{request.building, request.floor};
   SubmitUploadResponse response;
   cloud::CrowdMapService* service = nullptr;
@@ -199,6 +198,14 @@ SubmitUploadResponse Client::submit(std::optional<std::size_t> forced_node,
       response.status = Status::Error(
           StatusCode::kShedding, "acting primary over cluster.max_node_queue");
       return response;
+    }
+    if (video.has_value()) {
+      // Admitted: file the pixels before the first chunk lands, because
+      // extraction may start, on any replica, right after the last one.
+      common::MutexLock videos_lock(videos_mutex_);
+      videos_.insert_or_assign(
+          UploadKey{request.building, request.floor, request.upload_id},
+          std::move(*video));
     }
     sync_node_locked(primary, key);
     node.routed->increment();

@@ -43,7 +43,7 @@
 //
 // Execution: every node shares one common::ThreadPool sized by
 // common::resolve_thread_count(config.parallel.threads). Each node's service
-// queues its extraction and refresh tasks through its own TaskGroup on it,
+// queues its extraction tasks through its own TaskGroup on it,
 // and every planner fans out on it, so N nodes never run N pools.
 //
 // Concurrency: the router serializes its own state under router_mutex_ but
@@ -176,10 +176,11 @@ class Client {
                                         const SubmitUploadRequest& request)
       CM_EXCLUDES(router_mutex_);
 
-  /// Convenience for simulation/evaluation: registers the video with the
-  /// cluster-wide side-table decoder, then submits its serialized inertial
-  /// stream as the wire payload (upload id "video-<video_id>"). Extraction
-  /// is async — drain() or build_plan() to observe the result.
+  /// Convenience for simulation/evaluation: submits the video's serialized
+  /// inertial stream as the wire payload (upload id "video-<video_id>") and,
+  /// once the request is admitted, registers the video with the
+  /// cluster-wide side-table decoder; a refused request registers nothing.
+  /// Extraction is async — drain() or build_plan() to observe the result.
   SubmitUploadResponse submit_video(const sim::SensorRichVideo& video,
                                     const RequestOptions& options = {})
       CM_EXCLUDES(router_mutex_, videos_mutex_);
@@ -230,12 +231,12 @@ class Client {
   [[nodiscard]] ShardView shard_of(const std::string& building,
                                    int floor = 1) const
       CM_EXCLUDES(router_mutex_);
-  /// Node join: appends a fresh node, rebuilds the ring and (with
-  /// config.cluster.rebalance) eagerly resyncs re-homed shards. Returns its
-  /// index.
+  /// Node join: appends a fresh node, rebuilds the ring and eagerly
+  /// resyncs re-homed shards. Returns its index.
   std::size_t add_node() CM_EXCLUDES(router_mutex_);
-  /// Node leave: takes the node out of the ring (its slot stays, drained).
-  /// False when it is already gone or the last live node.
+  /// Node leave: takes the node out of the ring (its slot stays, drained)
+  /// and eagerly resyncs re-homed shards. False when it is already gone or
+  /// the last live node.
   bool remove_node(std::size_t node) CM_EXCLUDES(router_mutex_);
   /// Current router logical tick — the frame deadline_tick lives in.
   [[nodiscard]] std::uint64_t now_tick() const noexcept {
@@ -303,10 +304,13 @@ class Client {
       const cloud::Document& doc) const CM_EXCLUDES(videos_mutex_);
   /// Routes one chunked upload to its shard's acting primary (refused with
   /// kWrongShard when `forced_node` names another node), commits the
-  /// reassembled document to the shard log and replicates it.
+  /// reassembled document to the shard log and replicates it. `video`, when
+  /// given, enters the side table once the request is admitted and before
+  /// its first chunk is delivered.
   SubmitUploadResponse submit(std::optional<std::size_t> forced_node,
-                              const SubmitUploadRequest& request)
-      CM_EXCLUDES(router_mutex_);
+                              const SubmitUploadRequest& request,
+                              std::optional<sim::SensorRichVideo> video)
+      CM_EXCLUDES(router_mutex_, videos_mutex_);
   /// A read path's serving node: the floor's acting primary at the current
   /// tick, resynced from the shard log first.
   [[nodiscard]] cloud::CrowdMapService& route_read(const FloorKey& key) const
@@ -365,8 +369,8 @@ class Client {
       CM_REQUIRES(router_mutex_);
   /// Delivers every parked record whose target is reachable at `epoch`.
   void flush_network_locked(std::uint64_t epoch) CM_REQUIRES(router_mutex_);
-  /// With cluster.rebalance: eagerly resyncs every shard onto its (possibly
-  /// new) replica set after a membership change.
+  /// Eagerly resyncs every shard onto its (possibly new) replica set after a
+  /// membership change.
   void rebalance_locked() CM_REQUIRES(router_mutex_);
 
   [[nodiscard]] static std::uint64_t floor_hash(const FloorKey& key);
@@ -389,9 +393,10 @@ class Client {
   obs::Counter* rebalance_moves_total_ = nullptr;
   obs::Gauge* nodes_gauge_ = nullptr;
 
-  /// Side table for submit_video, filled *before* the first chunk is
-  /// delivered (extraction may start right after the last chunk lands — on
-  /// any replica). Its own mutex, not the router's: with faults armed a
+  /// Side table for submit_video, filled once a request is admitted and
+  /// *before* its first chunk is delivered (extraction may start right after
+  /// the last chunk lands — on any replica). Lock order: router_mutex_, then
+  /// videos_mutex_. Its own mutex, not the router's: with faults armed a
   /// build runs under router_mutex_ and drains extraction tasks, which call
   /// decode(). Declared before nodes_ so it outlives every node's task
   /// group.

@@ -21,7 +21,7 @@ IngestService::IngestService(DocumentStore& store,
       "Uploads fully reassembled and persisted");
   uploads_rejected_ = &registry_->counter(
       "crowdmap_ingest_uploads_rejected_total", {},
-      "Chunk deliveries rejected by ingestion");
+      "Chunk deliveries refused for an unknown session or corrupt framing");
   chunks_received_ = &registry_->counter("crowdmap_ingest_chunks_total", {},
                                          "Chunks delivered to known sessions");
   bytes_received_ = &registry_->counter("crowdmap_ingest_bytes_total", {},

@@ -36,9 +36,6 @@ CrowdMapService::CrowdMapService(core::PipelineConfig config,
       fan_out_pool_(config_.parallel.threads != 1 ? &pool : nullptr) {
   uploads_completed_ = &registry_->counter(
       "crowdmap_uploads_completed_total", {}, "Chunked uploads reassembled");
-  uploads_rejected_ = &registry_->counter(
-      "crowdmap_uploads_rejected_total", {},
-      "Chunk deliveries rejected by ingestion");
   decode_failures_ = &registry_->counter(
       "crowdmap_decode_failures_total", {}, "Uploads the decoder rejected");
   sensor_dropouts_ = &registry_->counter(
@@ -52,9 +49,6 @@ CrowdMapService::CrowdMapService(core::PipelineConfig config,
   extract_seconds_ = &registry_->histogram(
       "crowdmap_extract_seconds", {}, {},
       "Per-upload trajectory extraction latency");
-  obs::Histogram& task_seconds = registry_->histogram(
-      "crowdmap_worker_task_seconds", {}, {},
-      "Worker-pool task wall-clock latency");
   if (config_.flight.enabled) flight_ = std::make_unique<obs::FlightRecorder>();
   if (!config_.storage.dir.empty()) {
     storage::Env& env =
@@ -74,8 +68,6 @@ CrowdMapService::CrowdMapService(core::PipelineConfig config,
           flight->record(obs::FlightEventKind::kQueueDepth, 0, depth);
         }
       });
-  tasks_.set_task_observer(
-      [&task_seconds](double seconds) { task_seconds.observe(seconds); });
   ingest_ = std::make_unique<IngestService>(
       store_, [this](const Document& doc) { on_upload_complete(doc); },
       IngestConfig{}, registry_);
@@ -89,9 +81,7 @@ void CrowdMapService::open_session(const std::string& upload_id,
 }
 
 IngestStatus CrowdMapService::deliver(const Chunk& chunk) {
-  const IngestStatus status = ingest_->deliver(chunk);
-  if (status == IngestStatus::kRejected) uploads_rejected_->increment();
-  return status;
+  return ingest_->deliver(chunk);
 }
 
 std::vector<std::uint32_t> CrowdMapService::missing_chunks(
@@ -307,7 +297,6 @@ storage::Status CrowdMapService::checkpoint_storage() {
 ServiceStats CrowdMapService::stats() const {
   ServiceStats out;
   out.uploads_completed = uploads_completed_->value();
-  out.uploads_rejected = uploads_rejected_->value();
   out.decode_failures = decode_failures_->value();
   // Every decoded video is extracted and presented to its floor's planner,
   // so the planners' admission series count decodes and kept extractions.
@@ -319,6 +308,10 @@ ServiceStats CrowdMapService::stats() const {
   out.sensor_dropouts = sensor_dropouts_->value();
   out.cache_warmstart_rejected = cache_warmstart_rejected_->value();
   out.ingest = ingest_->stats();
+  // Every refused delivery is counted by exactly one ingest family: an
+  // unknown session or corrupt framing, else a damaged chunk.
+  out.uploads_rejected =
+      out.ingest.uploads_rejected + out.ingest.chunks_rejected;
   if (durable_ != nullptr) out.durability = durable_->stats();
   {
     common::MutexLock lock(mutex_);

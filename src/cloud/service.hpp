@@ -37,6 +37,8 @@ using VideoDecoder =
 /// reports, so the two can never disagree.
 struct ServiceStats {
   std::size_t uploads_completed = 0;
+  /// Chunk deliveries ingestion refused: ingest.uploads_rejected +
+  /// ingest.chunks_rejected.
   std::size_t uploads_rejected = 0;
   /// The planners' crowdmap_videos_ingested_total: every decoded upload.
   std::size_t videos_decoded = 0;
@@ -65,8 +67,8 @@ struct ServiceStats {
 class CrowdMapService {
  public:
   /// `pool` (borrowed, must outlive the service) runs the service's
-  /// extraction and refresh tasks through the service's own task group, and
-  /// its floors' planners fan out on it; several services may share one.
+  /// extraction tasks through the service's own task group, and its floors'
+  /// planners fan out on it; several services may share one.
   /// `registry` defaults to a fresh service-local registry; pass a shared
   /// one to co-locate several services behind one exporter endpoint.
   /// `storage_env` (borrowed, must outlive the service) overrides the
@@ -189,7 +191,6 @@ class CrowdMapService {
   DocumentStore store_;
   std::shared_ptr<obs::MetricsRegistry> registry_;
   obs::Counter* uploads_completed_ = nullptr;
-  obs::Counter* uploads_rejected_ = nullptr;
   obs::Counter* decode_failures_ = nullptr;
   obs::Counter* sensor_dropouts_ = nullptr;
   obs::Counter* cache_warmstart_rejected_ = nullptr;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/log.hpp"
-#include "common/stopwatch.hpp"
 
 namespace crowdmap::common {
 
@@ -51,7 +50,6 @@ struct TaskGroup::State {
   std::size_t running CM_GUARDED_BY(mutex) = 0;
   bool closed CM_GUARDED_BY(mutex) = false;
   QueueObserver queue_observer CM_GUARDED_BY(mutex);
-  TaskObserver task_observer CM_GUARDED_BY(mutex);
 };
 
 TaskGroup::TaskGroup(ThreadPool& pool)
@@ -66,7 +64,6 @@ TaskGroup::~TaskGroup() {
     dropped.swap(state_->queue);
     while (state_->running != 0) state_->idle.wait(state_->mutex);
     observer = std::move(state_->queue_observer);
-    state_->task_observer = nullptr;
   }
   // The dropped tasks never dequeue, so report the empty queue once: a gauge
   // that outlives the group (a crashed node's registry) must not stay stale.
@@ -76,11 +73,6 @@ TaskGroup::~TaskGroup() {
 void TaskGroup::set_queue_observer(QueueObserver observer) {
   MutexLock lock(state_->mutex);
   state_->queue_observer = std::move(observer);
-}
-
-void TaskGroup::set_task_observer(TaskObserver observer) {
-  MutexLock lock(state_->mutex);
-  state_->task_observer = std::move(observer);
 }
 
 void TaskGroup::submit(std::function<void()> fn) {
@@ -111,10 +103,9 @@ void TaskGroup::run_next(State& state) {
     depth = state.queue.size();
     queue_observer = state.queue_observer;
   }
-  // Observers run outside the lock: a slow exporter must not serialize the
-  // workers, and an observer may call back into the group (e.g. pending()).
+  // The observer runs outside the lock: a slow exporter must not serialize
+  // the workers, and it may call back into the group (e.g. pending()).
   if (queue_observer) queue_observer(depth);
-  const Stopwatch timer;
   try {
     task();
   } catch (const std::exception& e) {
@@ -122,15 +113,6 @@ void TaskGroup::run_next(State& state) {
   } catch (...) {
     CROWDMAP_LOG(kError, "thread_pool") << "task group task threw";
   }
-  const double seconds = timer.elapsed_seconds();
-  // The observer fires before the task stops counting as running, so wait()
-  // cannot return while an observer call is still in flight.
-  TaskObserver task_observer;
-  {
-    MutexLock lock(state.mutex);
-    task_observer = state.task_observer;
-  }
-  if (task_observer) task_observer(seconds);
   {
     MutexLock lock(state.mutex);
     --state.running;

@@ -58,11 +58,11 @@ class ThreadPool {
   bool stopping_ CM_GUARDED_BY(mutex_) = false;
 };
 
-/// One owner's share of a ThreadPool (a cluster node's extraction and
-/// refresh work). Tasks run on the pool's workers in submission order, but
-/// wait(), pending() and the observers see only this group's tasks, so
-/// owners sharing one pool never wait on, or get measured by, each other's
-/// work. Destruction drops the group's queued tasks and waits for its running
+/// One owner's share of a ThreadPool (a cluster node's extraction work).
+/// Tasks run on the pool's workers in submission order, but wait(),
+/// pending() and the queue observer see only this group's tasks, so owners
+/// sharing one pool never wait on, or get measured by, each other's work.
+/// Destruction drops the group's queued tasks and waits for its running
 /// ones; the pool, which must outlive the group, keeps running.
 class TaskGroup {
  public:
@@ -71,9 +71,6 @@ class TaskGroup {
   /// workers; consecutive depths may therefore arrive out of order (feeding
   /// an obs::Gauge, which only keeps the latest value, is the intended use).
   using QueueObserver = std::function<void(std::size_t depth)>;
-  /// Fires with a task's wall-clock seconds after it finishes. Also invoked
-  /// outside the lock, and before wait() can see the task as done.
-  using TaskObserver = std::function<void(double seconds)>;
 
   explicit TaskGroup(ThreadPool& pool);
   ~TaskGroup();
@@ -82,7 +79,6 @@ class TaskGroup {
   TaskGroup& operator=(const TaskGroup&) = delete;
 
   void set_queue_observer(QueueObserver observer);
-  void set_task_observer(TaskObserver observer);
 
   /// Enqueues fn. An exception escaping fn is logged and dropped; it neither
   /// stops the group nor the worker that ran it.

@@ -88,10 +88,6 @@ struct ClusterConfig {
   /// Copies of each shard's replication log applied across the ring
   /// (clamped to the node count; 1 = no replicas, primary only).
   std::size_t replication_factor = 2;
-  /// Eagerly re-replicate shard logs onto their new owners when membership
-  /// changes (node join/leave). Off: new owners catch up lazily on first
-  /// access — routing still moves immediately.
-  bool rebalance = true;
   /// Shed uploads (api::StatusCode::kShedding) when the acting primary's
   /// worker queue is deeper than this many tasks. 0 disables shedding.
   std::size_t max_node_queue = 0;

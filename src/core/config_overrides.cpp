@@ -85,8 +85,6 @@ constexpr ConfigKeyInfo kConfigKeys[] = {
                 "Shed uploads when a node's worker queue exceeds this (0 off)"),
     CM_KEY_SIZE("cluster.nodes", cluster.nodes,
                 "In-process cluster nodes behind the api::v2 client"),
-    CM_KEY_BOOL("cluster.rebalance", cluster.rebalance,
-                "Eagerly re-replicate shard logs on node join/leave"),
     CM_KEY_SIZE("cluster.replication_factor", cluster.replication_factor,
                 "Replication-log copies per shard (clamped to node count)"),
     {"faults.seed", "int",

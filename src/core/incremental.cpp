@@ -1,8 +1,6 @@
 #include "core/incremental.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -72,13 +70,6 @@ struct Build {
   /// deterministic half of every event's dual stamp.
   void advance_tick() const {
     if (flight != nullptr) flight->advance_tick();
-  }
-
-  void observe_stage(const char* stage, double seconds) const {
-    registry
-        .histogram("crowdmap_stage_seconds", {{"stage", stage}}, {},
-                   "Per-stage wall-clock latency")
-        .observe(seconds);
   }
 
   /// Itemizes one substituted result so the caller can tell a clean plan
@@ -183,8 +174,6 @@ void aggregate_stage(Build& b) {
     b.record("aggregate", aggregated.error(), "whole stage",
              DegradationEvent::Action::kLost);
   }
-  b.result.diagnostics.aggregate_seconds = span.end();
-  b.observe_stage("aggregate", b.result.diagnostics.aggregate_seconds);
 }
 
 /// The output extent: the caller's frame, else the placed points' bounding
@@ -278,8 +267,6 @@ void skeleton_stage(Build& b, const geometry::Aabb& extent,
     b.record("skeleton", skeletonized.error(), "whole stage",
              DegradationEvent::Action::kLost);
   }
-  b.result.diagnostics.skeleton_seconds = span.end();
-  b.observe_stage("skeleton", b.result.diagnostics.skeleton_seconds);
 }
 
 /// Sub-process 2: room layout modeling (§III.C).
@@ -344,11 +331,8 @@ void rooms_stage(Build& b, const geometry::Pose2& to_world) {
       room::LayoutConfig layout_config = base_layout;
       if (layout_config.focal_px <= 0 && !c.keyframe_indices.empty()) {
         const auto& kf = traj.keyframes[c.keyframe_indices.front()];
-        const double frame_focal =
-            kf.gray.width() / (2.0 * std::tan(config.stitch.fov / 2.0));
-        layout_config.focal_px =
-            frame_focal * static_cast<double>(config.stitch.output_height) /
-            std::max(kf.gray.height(), 1);
+        layout_config.focal_px = room::panorama_focal_px(
+            kf.gray.width(), kf.gray.height(), config.stitch);
       }
       return layout_config;
     };
@@ -492,8 +476,6 @@ void rooms_stage(Build& b, const geometry::Pose2& to_world) {
     b.trace.annotate("cache", std::to_string(b.rooms_reused.load()) + "/" +
                                   std::to_string(b.rooms_total));
   }
-  b.result.diagnostics.rooms_seconds = span.end();
-  b.observe_stage("rooms", b.result.diagnostics.rooms_seconds);
 }
 
 /// Sub-process 3: floor plan modeling (§III.D).
@@ -553,11 +535,10 @@ void arrange_stage(Build& b) {
     b.record("arrange", arranged.error(), "rooms left at anchor placement",
              DegradationEvent::Action::kSkipped);
   }
-  b.result.diagnostics.arrange_seconds = span.end();
-  b.observe_stage("arrange", b.result.diagnostics.arrange_seconds);
 }
 
-/// The build's artifact-cache reuse view, mirrored into the registry.
+/// The build's artifact-cache reuse view; its hit, miss and invalidation
+/// counts are added to the registry.
 void report_cache_reuse(Build& b, std::uint64_t invalidations_before) {
   const std::size_t n = b.corpus.size();
   CacheReuseStats& cs = b.result.diagnostics.cache;
@@ -583,21 +564,6 @@ void report_cache_reuse(Build& b, std::uint64_t invalidations_before) {
       .counter("crowdmap_artifact_cache_invalidations_total", {},
                "Artifact cache entries dropped (FIFO + fault evicts)")
       .increment(cs.artifact_invalidations - invalidations_before);
-  const auto reuse_gauge = [&](const char* stage, double value) {
-    b.registry
-        .gauge("crowdmap_artifact_stage_reuse", {{"stage", stage}},
-               "Fraction of the stage served from the artifact cache in the "
-               "most recent run")
-        .set(value);
-  };
-  const auto ratio = [](std::size_t part, std::size_t whole) {
-    return whole > 0 ? static_cast<double>(part) / static_cast<double>(whole)
-                     : 0.0;
-  };
-  reuse_gauge("pair", ratio(cs.pairs_reused, cs.pairs_total));
-  reuse_gauge("room", ratio(cs.rooms_reused, cs.rooms_total));
-  reuse_gauge("skeleton", cs.skeleton_reused ? 1.0 : 0.0);
-  reuse_gauge("arrange", cs.arrange_reused ? 1.0 : 0.0);
 }
 
 }  // namespace
@@ -747,7 +713,6 @@ PipelineResult IncrementalPlanner::refresh(
     }
   }
 
-  const auto started = std::chrono::steady_clock::now();
   Build b{.config = config_,
           .corpus = corpus_,
           .keys = corpus_keys_,
@@ -815,11 +780,18 @@ PipelineResult IncrementalPlanner::refresh(
   rooms_reconstructed_->increment(d.rooms_reconstructed);
   report_cache_reuse(b, invalidations_before);
   if (b.artifacts != nullptr) b.artifacts->set_flight_recorder(nullptr);
-  b.result.trace = b.trace.snapshot();
 
-  refresh_hist_->observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count());
+  // The closed "run" span is the build's only clock: the refresh and stage
+  // histograms read their seconds from the same snapshot the caller gets.
+  b.result.trace = b.trace.snapshot();
+  const obs::SpanRecord& run = b.result.trace.children.front();
+  refresh_hist_->observe(run.duration_seconds);
+  for (const obs::SpanRecord& stage : run.children) {
+    registry_
+        ->histogram("crowdmap_stage_seconds", {{"stage", stage.name}}, {},
+                    "Per-stage wall-clock latency")
+        .observe(stage.duration_seconds);
+  }
   return std::move(b.result);
 }
 

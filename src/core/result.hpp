@@ -51,9 +51,9 @@ struct CacheReuseStats {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Per-stage wall-clock timings and data-quality counts of one build. The
-/// counts are the build's own (a floor built concurrently with another
-/// never sees the other's work); the timings are its stage span durations.
+/// Data-quality counts of one build: the build's own (a floor built
+/// concurrently with another never sees the other's work). Its stage
+/// timings are the stage spans in PipelineResult::trace.
 struct PipelineDiagnostics {
   std::size_t videos_ingested = 0;        // kept + dropped
   std::size_t trajectories_kept = 0;      // the corpus the build ran over
@@ -63,10 +63,6 @@ struct PipelineDiagnostics {
   std::size_t panoramas_attempted = 0;
   std::size_t panoramas_stitched = 0;
   std::size_t rooms_reconstructed = 0;
-  double aggregate_seconds = 0.0;
-  double skeleton_seconds = 0.0;
-  double rooms_seconds = 0.0;
-  double arrange_seconds = 0.0;
   /// Artifact-cache reuse during this build (all zeros when disabled).
   CacheReuseStats cache;
 };
@@ -123,7 +119,8 @@ struct PipelineResult {
   /// What this build salvaged/lost under faults; empty on a clean build.
   DegradationReport degradation;
   /// Span tree of this build: one "run" span with the four stage spans
-  /// beneath it.
+  /// beneath it. The planner's crowdmap_stage_seconds and
+  /// crowdmap_plan_refresh_seconds observations are these durations.
   obs::SpanRecord trace;
 };
 

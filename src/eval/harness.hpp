@@ -34,11 +34,12 @@ struct ExperimentRun {
   core::CacheReuseStats cache;
   /// Dump of the backend's metrics registry at the end of the run, so
   /// experiment records carry their counters and stage latencies (export
-  /// with obs::to_prometheus / obs::to_json; the trace is in result.trace).
+  /// with obs::to_prometheus; the spans they were observed from are in
+  /// result.trace).
   obs::MetricsSnapshot metrics;
   /// Flight-recorder dump taken after the final build (std::nullopt when
-  /// config.flight.enabled == false). Merge into a Perfetto timeline with
-  /// obs::to_trace_event_json(result.trace, &*flight).
+  /// config.flight.enabled == false). Its one rendering is the Perfetto
+  /// timeline obs::to_trace_event_json(result.trace, &*flight).
   std::optional<obs::FlightDump> flight;
   /// Durable-store facts (enabled == false when config.storage.dir is
   /// empty). When enabled, the harness recovers before submitting and

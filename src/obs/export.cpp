@@ -115,50 +115,4 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
   return out.str();
 }
 
-std::string to_json(const MetricsSnapshot& snapshot) {
-  std::ostringstream out;
-  out << "{\"metrics\":[";
-  bool first_family = true;
-  for (const auto& family : snapshot.families) {
-    if (!first_family) out << ',';
-    first_family = false;
-    out << "\n{\"name\":\"" << escape(family.name) << "\",\"type\":\""
-        << type_name(family.type) << "\",\"help\":\"" << escape(family.help)
-        << "\",\"series\":[";
-    bool first_series = true;
-    for (const auto& series : family.series) {
-      if (!first_series) out << ',';
-      first_series = false;
-      out << "{\"labels\":{";
-      bool first_label = true;
-      for (const auto& [key, value] : series.labels) {
-        if (!first_label) out << ',';
-        first_label = false;
-        out << '"' << escape(key) << "\":\"" << escape(value) << '"';
-      }
-      out << '}';
-      if (family.type == MetricType::kHistogram) {
-        const auto& h = series.histogram;
-        out << ",\"count\":" << h.count << ",\"sum\":" << format_number(h.sum)
-            << ",\"buckets\":[";
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i < h.upper_bounds.size(); ++i) {
-          cumulative += h.bucket_counts[i];
-          if (i > 0) out << ',';
-          out << "{\"le\":" << format_number(h.upper_bounds[i])
-              << ",\"count\":" << cumulative << '}';
-        }
-        if (!h.upper_bounds.empty()) out << ',';
-        out << "{\"le\":\"+Inf\",\"count\":" << h.count << "}]";
-      } else {
-        out << ",\"value\":" << format_number(series.value);
-      }
-      out << '}';
-    }
-    out << "]}";
-  }
-  out << "\n]}\n";
-  return out.str();
-}
-
 }  // namespace crowdmap::obs

@@ -1,5 +1,5 @@
-// Exporters: render a MetricsSnapshot as Prometheus text exposition format
-// or as JSON. Output is deterministic (families sorted by name, series by
+// Exporter: renders a MetricsSnapshot in the Prometheus text exposition
+// format. Output is deterministic (families sorted by name, series by
 // labels) so goldens and diffs are stable.
 #pragma once
 
@@ -12,8 +12,5 @@ namespace crowdmap::obs {
 /// Prometheus text format v0.0.4: # HELP / # TYPE headers, one sample per
 /// line, histograms as cumulative `_bucket{le=...}` plus `_sum` / `_count`.
 [[nodiscard]] std::string to_prometheus(const MetricsSnapshot& snapshot);
-
-/// JSON document {"metrics": [{name, type, help, series: [...]}]}.
-[[nodiscard]] std::string to_json(const MetricsSnapshot& snapshot);
 
 }  // namespace crowdmap::obs

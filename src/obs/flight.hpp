@@ -9,8 +9,9 @@
 // advanced only at deterministic points (pipeline stage boundaries, ingest
 // chunk deliveries). deterministic_dump() drops the wall/thread stamps and
 // the inherently racy kinds, then sorts by content — so dumps in
-// deterministic mode are byte-identical at any thread count, the same
-// contract the serialized FloorPlans obey (docs/OBSERVABILITY.md).
+// deterministic mode are identical, event for event, at any thread count,
+// the same contract the serialized FloorPlans obey (docs/OBSERVABILITY.md).
+// A dump leaves the process as Perfetto instants (obs/trace_export.hpp).
 //
 // Hot path: record() on a disarmed recorder is one relaxed load + branch;
 // armed it is a steady_clock read plus five relaxed atomic stores into the
@@ -30,13 +31,12 @@
 #include <vector>
 
 #include "common/annotations.hpp"
-#include "common/expected.hpp"
 #include "common/fault.hpp"
 
 namespace crowdmap::obs {
 
-/// Catalog of recorded event kinds. Values are part of the binary dump
-/// format — append only, never renumber.
+/// Catalog of recorded event kinds. Deterministic dumps sort the events of
+/// one tick by kind value, so a kind's value fixes its place in them.
 enum class FlightEventKind : std::uint16_t {
   kSpanBegin = 1,         // a = name hash
   kSpanEnd = 2,           // a = name hash, b = duration nanos
@@ -48,7 +48,6 @@ enum class FlightEventKind : std::uint16_t {
   kIngestQuarantine = 8,  // a = upload id hash, b = reason hash
   kDegradation = 9,       // a = stage name hash, b = detail hash
   kQueueDepth = 10,       // a = queue depth sample
-  kSloBreach = 11,        // retired: nothing records it any more
   kWalAppend = 12,        // a = segment seqno, b = record bytes
   kWalCheckpoint = 13,    // a = snapshot seqno, b = retired segment count
   kRecoveryTruncate = 14, // a = segment seqno, b = damaged tail bytes
@@ -87,20 +86,6 @@ struct FlightDump {
   std::vector<FlightEventRecord> events;
   std::map<std::uint64_t, std::string> strings;  // hash -> interned name
 };
-
-/// Versioned binary codec ("CMFD" magic; docs/OBSERVABILITY.md has the
-/// layout). encode/decode round-trip exactly; decode rejects junk with error
-/// codes "flight.magic" / "flight.version" / "flight.truncated".
-[[nodiscard]] std::vector<std::uint8_t> encode_flight_dump(
-    const FlightDump& dump);
-[[nodiscard]] common::Expected<FlightDump> decode_flight_dump(
-    const std::uint8_t* data, std::size_t size);
-[[nodiscard]] common::Expected<FlightDump> decode_flight_dump(
-    const std::vector<std::uint8_t>& bytes);
-
-/// Human-readable JSON rendering of a dump (stable field order; byte-
-/// deterministic for deterministic dumps).
-[[nodiscard]] std::string flight_dump_to_json(const FlightDump& dump);
 
 /// Recorder tunables.
 struct FlightOptions {
@@ -146,7 +131,6 @@ class FlightRecorder {
   std::uint64_t advance_tick(std::uint64_t ticks = 1) noexcept {
     return clock_.advance(ticks);
   }
-  [[nodiscard]] std::uint64_t tick() const noexcept { return clock_.now(); }
 
   /// Wall dump: every surviving event in (thread, write order), wall and
   /// thread stamps intact. The debugging view.
@@ -155,18 +139,14 @@ class FlightRecorder {
 
   /// Deterministic dump: drops kinds that legitimately race across thread
   /// counts (queue-depth samples, FIFO evictions), zeroes wall/thread
-  /// stamps, sorts events by content. Byte-identical at any thread count
-  /// when every remaining event is tick-stamped deterministically.
+  /// stamps, sorts events by content. Identical at any thread count when
+  /// every remaining event is tick-stamped deterministically.
   [[nodiscard]] FlightDump deterministic_dump() const
       CM_EXCLUDES(rings_mutex_, strings_mutex_);
 
   /// Events overwritten by ring wraparound so far.
   [[nodiscard]] std::uint64_t dropped() const noexcept
       CM_EXCLUDES(rings_mutex_);
-
-  [[nodiscard]] const FlightOptions& options() const noexcept {
-    return options_;
-  }
 
  private:
   // One event = 5 consecutive atomic words in its ring:

@@ -121,11 +121,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return out;
 }
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 // ------------------------------------------------------------- snapshot ---
 
 const FamilySnapshot* MetricsSnapshot::find(std::string_view name) const {

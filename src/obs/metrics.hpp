@@ -154,10 +154,6 @@ class MetricsRegistry {
 
   [[nodiscard]] MetricsSnapshot snapshot() const CM_EXCLUDES(mutex_);
 
-  /// Process-wide default registry (long-lived daemons; tests and pipelines
-  /// normally use their own instance so numbers don't bleed across runs).
-  [[nodiscard]] static MetricsRegistry& global();
-
  private:
   struct Family {
     MetricType type = MetricType::kCounter;

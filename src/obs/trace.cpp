@@ -30,12 +30,6 @@ const SpanRecord* SpanRecord::find(std::string_view target) const {
   return nullptr;
 }
 
-double SpanRecord::total_seconds(std::string_view target) const {
-  double total = (name == target) ? duration_seconds : 0.0;
-  for (const auto& child : children) total += child.total_seconds(target);
-  return total;
-}
-
 namespace {
 
 void render(const SpanRecord& span, int depth, std::ostringstream& out) {
@@ -70,13 +64,6 @@ ScopedSpan::~ScopedSpan() {
   if (trace_) trace_->end_span();
 }
 
-double ScopedSpan::end() {
-  if (!trace_) return 0.0;
-  Trace* trace = trace_;
-  trace_ = nullptr;
-  return trace->end_span();
-}
-
 // ----------------------------------------------------------------- Trace ---
 
 Trace::Trace(std::string name) {
@@ -99,19 +86,18 @@ void Trace::begin_span(std::string name) {
   }
 }
 
-double Trace::end_span() {
+void Trace::end_span() {
   common::MutexLock lock(mutex_);
-  if (open_ == &root_) return 0.0;  // unbalanced end: ignore
+  if (open_ == &root_) return;  // unbalanced end: ignore
   open_->end = Clock::now();
   open_->closed = true;
-  const double seconds =
-      std::chrono::duration<double>(open_->end - open_->start).count();
   if (flight_ != nullptr) {
+    const double seconds =
+        std::chrono::duration<double>(open_->end - open_->start).count();
     flight_->record_named(FlightEventKind::kSpanEnd, 0, open_->name,
                           static_cast<std::uint64_t>(seconds * 1e9));
   }
   open_ = open_->parent;
-  return seconds;
 }
 
 void Trace::annotate(std::string_view key, std::string value) {

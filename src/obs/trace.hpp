@@ -1,6 +1,8 @@
 // Hierarchical trace spans for one pipeline run: begin/end pairs build a
 // tree of timed stages ("run" > "aggregate" > ...), snapshotted into plain
-// SpanRecord data for reports and for computing PipelineDiagnostics.
+// SpanRecord data. The snapshot is a build's only clock: the planner's stage
+// and refresh histograms are observed from it, and the Perfetto export
+// renders it (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <chrono>
@@ -33,10 +35,6 @@ struct SpanRecord {
   /// First span named `name` in pre-order (this node included); null if none.
   [[nodiscard]] const SpanRecord* find(std::string_view name) const;
 
-  /// Sum of inclusive times over every span named `name` in the subtree —
-  /// e.g. total "extract" time across many ingest spans.
-  [[nodiscard]] double total_seconds(std::string_view name) const;
-
   /// Indented tree report with inclusive/exclusive milliseconds per span.
   [[nodiscard]] std::string to_string() const;
 };
@@ -44,8 +42,7 @@ struct SpanRecord {
 class Trace;
 class FlightRecorder;
 
-/// RAII span: closes on destruction; end() closes early and returns the
-/// inclusive duration (useful for feeding a latency histogram).
+/// RAII span: opens on construction, closes on destruction.
 class ScopedSpan {
  public:
   ScopedSpan(Trace& trace, std::string name);
@@ -56,8 +53,6 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
   ScopedSpan& operator=(ScopedSpan&&) = delete;
-
-  double end();
 
  private:
   Trace* trace_;
@@ -72,8 +67,8 @@ class Trace {
 
   /// Opens a child span of the innermost open span.
   void begin_span(std::string name) CM_EXCLUDES(mutex_);
-  /// Closes the innermost open span; returns its inclusive seconds.
-  double end_span() CM_EXCLUDES(mutex_);
+  /// Closes the innermost open span (never the root).
+  void end_span() CM_EXCLUDES(mutex_);
   /// Attaches a key/value attribute to the innermost open span (the cache
   /// seams tag their stage spans with cache=hit/miss reuse summaries). A
   /// repeated key overwrites the earlier value in place.

@@ -1,8 +1,9 @@
 // Chrome/Perfetto trace export: renders a Trace span tree (and optionally a
 // flight-recorder dump) as the `trace_event` JSON that chrome://tracing and
 // ui.perfetto.dev open directly. Complete spans become "X" duration events;
-// flight events become "i" instants on their recording thread's track.
-// Wired to `crowdmap_cli --trace-out` and the eval harness
+// flight events become "i" instants on their recording thread's track,
+// carrying every field of the event. This is the one rendering a dump has
+// outside the process. Wired to `crowdmap_cli --trace-out`
 // (docs/OBSERVABILITY.md has a walkthrough).
 #pragma once
 

@@ -103,4 +103,11 @@ vision::Panorama stitch_candidate(const trajectory::Trajectory& traj,
   return vision::stitch_panorama(std::move(frames), params);
 }
 
+double panorama_focal_px(int frame_width, int frame_height,
+                         const vision::StitchParams& params) {
+  const double frame_focal = frame_width / (2.0 * std::tan(params.fov / 2.0));
+  return frame_focal * static_cast<double>(params.output_height) /
+         std::max(frame_height, 1);
+}
+
 }  // namespace crowdmap::room

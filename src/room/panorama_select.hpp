@@ -40,4 +40,12 @@ struct PanoramaCandidate {
     const trajectory::Trajectory& traj, const PanoramaCandidate& candidate,
     const vision::StitchParams& params = {});
 
+/// Effective vertical focal length, in panorama pixels, of a panorama
+/// stitched with `params` from frames `frame_width` x `frame_height` pixels
+/// large: the frame focal width / (2·tan(fov/2)) scaled by output_height /
+/// frame_height (DESIGN.md). Room layout takes it as LayoutConfig::focal_px,
+/// and the room artifact key hashes it, so the operation order is fixed.
+[[nodiscard]] double panorama_focal_px(int frame_width, int frame_height,
+                                       const vision::StitchParams& params);
+
 }  // namespace crowdmap::room

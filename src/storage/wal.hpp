@@ -4,7 +4,7 @@
 //   [u32 magic "CMWL"][u32 version][u64 seqno]          -- header, 16 bytes
 //   ([u32 payload_len][u32 crc32c(payload)][payload])*  -- frames
 //
-// all little-endian, consistent with the CMC1/CMFD codec family
+// all little-endian, consistent with the CMC1 artifact-cache codec
 // (docs/DURABILITY.md has the full layout). Scanning never throws: the
 // first damaged frame (torn header, torn payload, absurd length, CRC
 // mismatch) truncates the scan, and the damaged tail bytes are surfaced as

@@ -231,6 +231,36 @@ TEST(ApiV2, RequestDeadlinesBoundAdmission) {
   EXPECT_TRUE(client.build_plan(build).status.ok());
 }
 
+TEST(ApiV2, RefusedSubmitVideoLeavesNoVideoBehind) {
+  // A submit_video refused at admission must not file its video in the side
+  // table: a later upload under the same id, on a client with no fallback
+  // decoder, then has nothing to decode instead of the stale pixels.
+  const auto videos = tiny_campaign(825);
+  const auto& video = videos.front();
+  auto client = make_client();
+  // An (empty) build advances the router tick, so now_tick() is a deadline
+  // that has passed by the next request.
+  ASSERT_TRUE(client.build_plan({video.building, video.floor, std::nullopt, {}})
+                  .status.ok());
+  ap::RequestOptions expired;
+  expired.deadline_tick = client.now_tick();
+  ASSERT_NE(expired.deadline_tick, 0u);
+  EXPECT_EQ(client.submit_video(video, expired).status.code,
+            ap::StatusCode::kDeadlineExceeded);
+
+  ap::SubmitUploadRequest upload;
+  upload.upload_id = "video-" + std::to_string(video.video_id);
+  upload.building = video.building;
+  upload.floor = video.floor;
+  upload.payload = crowdmap::sensors::encode_imu(video.imu);
+  EXPECT_TRUE(client.submit_upload(upload).status.ok());
+  client.drain();
+  const auto stats = client.stats();
+  EXPECT_EQ(stats.decode_failures, 1u);
+  EXPECT_EQ(stats.videos_decoded, 0u);
+  EXPECT_TRUE(client.trajectories(video.building, video.floor).empty());
+}
+
 // ------------------------------------------- submit critical section ---
 
 TEST(Api, FourConcurrentSubmittersMatchSerialSubmissionByteForByte) {

@@ -79,7 +79,7 @@ TEST(ConfigOverrides, UnknownKeyThrows) {
         "cache.background_refresh = true\n", "flight.dump_on_anomaly = true\n",
         "flight.ring_capacity = 64\n", "slo.extract_p99_ms = 50\n",
         "slo.ingest_queue_depth_max = 8\n",
-        "slo.plan_refresh_p99_ms = 500\n"}) {
+        "slo.plan_refresh_p99_ms = 500\n", "cluster.rebalance = true\n"}) {
     co::PipelineConfig config;
     const auto file = cc::ConfigFile::parse(line);
     EXPECT_THROW(co::apply_config_overrides(config, file), std::runtime_error)

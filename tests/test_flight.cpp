@@ -1,11 +1,12 @@
 // Flight-recorder suite: ring semantics (wraparound, drop accounting,
-// disarmed no-ops), the versioned binary codec and its error codes, the
-// deterministic-dump normalization contract (byte-identical at any thread
-// count, same as serialized FloorPlans), chaos-harness fault fires landing
-// in the dump, and the recorder never changing plan bytes.
+// disarmed no-ops), the deterministic-dump normalization contract (identical
+// at any thread count, same as serialized FloorPlans), chaos-harness fault
+// fires landing in the dump and in its Perfetto rendering, and the recorder
+// never changing plan bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "core/incremental.hpp"
 #include "floorplan/serialize.hpp"
 #include "obs/flight.hpp"
+#include "obs/trace_export.hpp"
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
 #include "trajectory/trajectory.hpp"
@@ -87,61 +89,6 @@ TEST(Flight, InternedNamesLandInTheDumpStringTable) {
   EXPECT_EQ(dump.strings.at(dump.events[0].b), "skipped");
   // Interning is stable: the same name hashes identically every time.
   EXPECT_EQ(flight.intern("panorama"), dump.events[0].a);
-}
-
-// ---------------------------------------------------------------- codec ---
-
-TEST(Flight, CodecRoundTripsExactly) {
-  obs::FlightRecorder flight;
-  flight.advance_tick();
-  flight.record_named(FlightEventKind::kSpanBegin, 0, "aggregate");
-  flight.record(FlightEventKind::kCacheMiss, 2, 123, 456);
-  flight.record_named(FlightEventKind::kSloBreach, 1, "lat_p99_ms", 750);
-  const obs::FlightDump dump = flight.dump();
-
-  const auto bytes = obs::encode_flight_dump(dump);
-  const auto decoded = obs::decode_flight_dump(bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.error().message;
-  EXPECT_EQ(decoded.value().events, dump.events);
-  EXPECT_EQ(decoded.value().strings, dump.strings);
-  EXPECT_EQ(decoded.value().dropped, dump.dropped);
-  EXPECT_EQ(decoded.value().deterministic, dump.deterministic);
-  // Re-encoding the decoded dump is byte-identical.
-  EXPECT_EQ(obs::encode_flight_dump(decoded.value()), bytes);
-}
-
-TEST(Flight, CodecRejectsJunkWithTypedErrors) {
-  const auto magic = obs::decode_flight_dump(
-      std::vector<std::uint8_t>{'n', 'o', 'p', 'e', 0, 0, 0, 0});
-  ASSERT_FALSE(magic.ok());
-  EXPECT_EQ(magic.error().code, "flight.magic");
-
-  auto bytes = obs::encode_flight_dump(obs::FlightDump{});
-  bytes[4] = 99;  // version field
-  const auto version = obs::decode_flight_dump(bytes);
-  ASSERT_FALSE(version.ok());
-  EXPECT_EQ(version.error().code, "flight.version");
-
-  obs::FlightRecorder flight;
-  flight.record_named(FlightEventKind::kFaultFired, 3, "decode.fail");
-  const auto full = obs::encode_flight_dump(flight.dump());
-  for (const std::size_t cut :
-       {std::size_t{5}, std::size_t{20}, full.size() - 1}) {
-    const auto truncated =
-        obs::decode_flight_dump(full.data(), std::min(cut, full.size()));
-    ASSERT_FALSE(truncated.ok()) << "cut at " << cut;
-    EXPECT_EQ(truncated.error().code, "flight.truncated");
-  }
-}
-
-TEST(Flight, JsonRenderingIsStable) {
-  obs::FlightRecorder flight;
-  flight.record_named(FlightEventKind::kDegradation, 0, "rooms",
-                      flight.intern("fallback"));
-  const std::string json = obs::flight_dump_to_json(flight.dump());
-  EXPECT_NE(json.find("\"deterministic\": false"), std::string::npos);
-  EXPECT_NE(json.find("degradation"), std::string::npos);
-  EXPECT_NE(json.find("rooms"), std::string::npos);
 }
 
 // ------------------------------------------------- deterministic dumps ---
@@ -238,8 +185,11 @@ TEST(Flight, DeterministicDumpIsByteIdenticalAcrossThreadCounts) {
   ASSERT_EQ(serial.dropped, 0u);
   ASSERT_EQ(parallel.dropped, 0u);
   EXPECT_EQ(serial.plan_bytes, parallel.plan_bytes);
-  EXPECT_EQ(obs::encode_flight_dump(serial.deterministic_dump),
-            obs::encode_flight_dump(parallel.deterministic_dump));
+  ASSERT_FALSE(serial.deterministic_dump.events.empty());
+  EXPECT_EQ(serial.deterministic_dump.events,
+            parallel.deterministic_dump.events);
+  EXPECT_EQ(serial.deterministic_dump.strings,
+            parallel.deterministic_dump.strings);
 }
 
 TEST(Flight, ChaosFaultFireIsRecordedWithItsPointName) {
@@ -282,6 +232,20 @@ TEST(Flight, ChaosFaultFireIsRecordedWithItsPointName) {
     EXPECT_EQ(name->second, point);
   }
   EXPECT_TRUE(saw_fault);
+
+  // The Perfetto export is the only way a dump leaves the process: the fire
+  // renders as an instant under its point name.
+  const std::string json = obs::to_trace_event_json(result.trace, &dump);
+  const std::string instant =
+      "{\"name\": \"" + std::string(point) + "\", \"ph\": \"i\"";
+  bool rendered = false;
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);) {
+    rendered = rendered ||
+               (line.find(instant) != std::string::npos &&
+                line.find("\"kind\": \"fault_fired\"") != std::string::npos);
+  }
+  EXPECT_TRUE(rendered);
 }
 
 // ----------------------------------------------------------- api surface ---

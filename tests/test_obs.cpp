@@ -1,8 +1,7 @@
 // Tests for the observability layer: metric semantics (counter / gauge /
 // histogram), registry identity and type safety, concurrent updates, trace
 // span nesting and exclusive-time math, golden-format checks of the
-// Prometheus / JSON / trace_event exporters and snapshot lookup (absent vs
-// zero).
+// Prometheus / trace_event exporters and snapshot lookup (absent vs zero).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -160,17 +159,6 @@ TEST(Trace, SpansNestIntoATree) {
   EXPECT_GT(snap.children[0].children[0].duration_seconds, 0.0);
 }
 
-TEST(Trace, ScopedEndReturnsInclusiveSeconds) {
-  obs::Trace trace;
-  auto span = trace.scoped("stage");
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  const double seconds = span.end();
-  EXPECT_GT(seconds, 0.0);
-  const auto snap = trace.snapshot();
-  ASSERT_NE(snap.find("stage"), nullptr);
-  EXPECT_DOUBLE_EQ(snap.find("stage")->duration_seconds, seconds);
-}
-
 TEST(Trace, ExclusiveTimeSubtractsChildren) {
   obs::SpanRecord parent;
   parent.name = "run";
@@ -186,24 +174,14 @@ TEST(Trace, ExclusiveTimeSubtractsChildren) {
   EXPECT_NEAR(a.exclusive_seconds(), 0.3, 1e-12);  // leaf: all self time
 }
 
-TEST(Trace, TotalSecondsSumsRepeatedSpans) {
-  obs::SpanRecord root;
-  root.name = "run";
-  for (const double d : {0.1, 0.2, 0.3}) {
-    obs::SpanRecord child;
-    child.name = "extract";
-    child.duration_seconds = d;
-    root.children.push_back(child);
-  }
-  EXPECT_NEAR(root.total_seconds("extract"), 0.6, 1e-12);
-  EXPECT_DOUBLE_EQ(root.total_seconds("missing"), 0.0);
-}
-
 TEST(Trace, EndSpanOnRootIsANoOp) {
   obs::Trace trace;
-  EXPECT_DOUBLE_EQ(trace.end_span(), 0.0);  // nothing open besides the root
+  trace.end_span();  // nothing open besides the root
+  { auto span = trace.scoped("stage"); }
+  // The root stayed open, so the next span still nests beneath it.
   const auto snap = trace.snapshot();
-  EXPECT_TRUE(snap.children.empty());
+  ASSERT_EQ(snap.children.size(), 1u);
+  EXPECT_EQ(snap.children[0].name, "stage");
 }
 
 TEST(Trace, ToStringRendersTheTree) {
@@ -243,32 +221,6 @@ TEST(Export, PrometheusGolden) {
   EXPECT_EQ(obs::to_prometheus(registry.snapshot()), expected);
 }
 
-TEST(Export, JsonGoldenCounter) {
-  obs::MetricsRegistry registry;
-  registry.counter("c_total", {{"k", "v"}}, "h").increment(2);
-  const std::string expected =
-      "{\"metrics\":[\n"
-      "{\"name\":\"c_total\",\"type\":\"counter\",\"help\":\"h\","
-      "\"series\":[{\"labels\":{\"k\":\"v\"},\"value\":2}]}\n"
-      "]}\n";
-  EXPECT_EQ(obs::to_json(registry.snapshot()), expected);
-}
-
-TEST(Export, JsonGoldenHistogram) {
-  obs::MetricsRegistry registry;
-  auto& h = registry.histogram("h_seconds", {}, {0.5});
-  h.observe(0.25);
-  h.observe(2.0);
-  const std::string expected =
-      "{\"metrics\":[\n"
-      "{\"name\":\"h_seconds\",\"type\":\"histogram\",\"help\":\"\","
-      "\"series\":[{\"labels\":{},\"count\":2,\"sum\":2.25,"
-      "\"buckets\":[{\"le\":0.5,\"count\":1},{\"le\":\"+Inf\",\"count\":2}]}"
-      "]}\n"
-      "]}\n";
-  EXPECT_EQ(obs::to_json(registry.snapshot()), expected);
-}
-
 TEST(Export, EscapesSpecialCharacters) {
   obs::MetricsRegistry registry;
   registry.counter("esc_total", {{"path", "a\"b\\c\nd"}}).increment();
@@ -299,15 +251,6 @@ TEST(Export, PrometheusHelpEscapesBackslashAndNewlineOnly) {
       "# TYPE help_gauge gauge\n"
       "help_gauge 1\n";
   EXPECT_EQ(obs::to_prometheus(registry.snapshot()), expected);
-}
-
-// The JSON exporter must keep escaping quotes everywhere, including help.
-TEST(Export, JsonStillEscapesQuotesInHelp) {
-  obs::MetricsRegistry registry;
-  registry.counter("q_total", {}, "a \"quoted\" word").increment();
-  const std::string json = obs::to_json(registry.snapshot());
-  EXPECT_NE(json.find("\"help\":\"a \\\"quoted\\\" word\""),
-            std::string::npos);
 }
 
 // ------------------------------------------------- snapshot lookup ---

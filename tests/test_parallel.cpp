@@ -1,12 +1,11 @@
 // Tests for the parallel execution layer: parallel_for semantics (coverage,
 // nesting, exceptions), task groups sharing one pool (isolation, teardown,
-// observers), and the headline guarantee — the planner produces
+// the queue observer), and the headline guarantee — the planner produces
 // bit-identical results at any thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -17,6 +16,7 @@
 #include "common/thread_pool.hpp"
 #include "core/incremental.hpp"
 #include "room/layout.hpp"
+#include "room/panorama_select.hpp"
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
 #include "sim/user_sim.hpp"
@@ -121,19 +121,6 @@ TEST(TaskGroup, QueueObserverMayCallBackIntoTheGroup) {
   for (int i = 0; i < 64; ++i) group.submit([] {});
   group.wait();
   EXPECT_GE(observed.load(), 64u);
-}
-
-TEST(TaskGroup, TaskObserverSeesEveryTask) {
-  cc::ThreadPool pool(2);
-  cc::TaskGroup group(pool);
-  std::atomic<int> tasks_observed{0};
-  group.set_task_observer([&](double seconds) {
-    EXPECT_GE(seconds, 0.0);
-    tasks_observed.fetch_add(1, std::memory_order_relaxed);
-  });
-  for (int i = 0; i < 20; ++i) group.submit([] {});
-  group.wait();
-  EXPECT_EQ(tasks_observed.load(), 20);
 }
 
 TEST(TaskGroup, WaitIgnoresAnotherGroupsBlockedTask) {
@@ -269,8 +256,7 @@ TEST(LayoutSharding, PoolDoesNotChangeTheLayout) {
 
   cr::LayoutConfig config;
   config.hypotheses = 3000;
-  const double frame_focal = intr.width / (2.0 * std::tan(sp.fov / 2.0));
-  config.focal_px = frame_focal * sp.output_height / intr.height;
+  config.focal_px = cr::panorama_focal_px(intr.width, intr.height, sp);
 
   const auto serial = cr::estimate_layout(pano.image, config, nullptr);
   cc::ThreadPool pool(3);

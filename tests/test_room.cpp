@@ -182,8 +182,7 @@ std::optional<cr::RoomLayout> estimate_for_room(double width, double depth,
 
   cr::LayoutConfig config;
   config.hypotheses = hypotheses;
-  const double frame_focal = intr.width / (2.0 * std::tan(sp.fov / 2.0));
-  config.focal_px = frame_focal * sp.output_height / intr.height;
+  config.focal_px = cr::panorama_focal_px(intr.width, intr.height, sp);
   return cr::estimate_layout(pano.image, config);
 }
 
@@ -238,8 +237,7 @@ TEST(LayoutEstimator, BoundaryDetectionCoversColumns) {
   sp.output_width = 512;
   sp.output_height = 128;
   const auto pano = crowdmap::vision::stitch_panorama(std::move(frames), sp);
-  const double frame_focal = intr.width / (2.0 * std::tan(sp.fov / 2.0));
-  const double focal = frame_focal * sp.output_height / intr.height;
+  const double focal = cr::panorama_focal_px(intr.width, intr.height, sp);
   const double horizon = sp.output_height / 2.0 - focal * std::tan(0.15);
   const auto boundary = cr::detect_floor_boundary(pano.image, horizon);
   int valid = 0;

@@ -1,7 +1,8 @@
 // Tests for the assembled cloud backend through the api::Client facade:
 // chunked uploads through ingestion, async extraction on the worker pool,
-// per-floor incremental plan builds. SharedPool drives two bare services on
-// one pool through the cluster's node-crash teardown.
+// per-floor incremental plan builds. A bare service counts each refused
+// chunk delivery once, and SharedPool drives two bare services on one pool
+// through the cluster's node-crash teardown.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include <thread>
 
 #include "api/v2.hpp"
+#include "cloud/chunking.hpp"
 #include "cloud/service.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -89,7 +91,9 @@ TEST(Service, StatsMatchMetricsRegistry) {
     return static_cast<std::size_t>(snap.value(name, node0));
   };
   EXPECT_EQ(stats.uploads_completed, count("crowdmap_uploads_completed_total"));
-  EXPECT_EQ(stats.uploads_rejected, count("crowdmap_uploads_rejected_total"));
+  EXPECT_EQ(stats.uploads_rejected,
+            count("crowdmap_ingest_uploads_rejected_total") +
+                count("crowdmap_ingest_chunks_rejected_total"));
   EXPECT_EQ(stats.videos_decoded, count("crowdmap_videos_ingested_total"));
   EXPECT_EQ(stats.videos_decoded, videos.size());
   EXPECT_EQ(stats.decode_failures, count("crowdmap_decode_failures_total"));
@@ -109,6 +113,31 @@ TEST(Service, StatsMatchMetricsRegistry) {
   ASSERT_EQ(extract->series.size(), 1u);
   EXPECT_EQ(extract->series[0].histogram.count, stats.videos_decoded);
   EXPECT_DOUBLE_EQ(snap.value("crowdmap_worker_queue_depth", node0), 0.0);
+}
+
+TEST(Service, RefusedDeliveriesAreCountedOnceByIngest) {
+  // One checksum-damaged chunk and one chunk for a session never opened:
+  // each refusal lands in exactly one ingest family, and the service's
+  // total is their sum, not a series of its own.
+  cc::ThreadPool pool(1);
+  auto registry = std::make_shared<crowdmap::obs::MetricsRegistry>();
+  cl::CrowdMapService service(co::PipelineConfig::fast_profile(), {}, pool,
+                              registry);
+  service.open_session("up-1", "Lab1", 1);
+  auto damaged = cl::split_into_chunks(cl::Blob(300, 7), "up-1", 100)[0];
+  damaged.payload[0] ^= 0xFF;
+  EXPECT_EQ(service.deliver(damaged), cl::IngestStatus::kRejected);
+  auto unknown = cl::split_into_chunks(cl::Blob(50, 9), "ghost", 100)[0];
+  EXPECT_EQ(service.deliver(unknown), cl::IngestStatus::kRejected);
+
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.uploads_rejected, 2u);
+  EXPECT_EQ(stats.uploads_rejected,
+            stats.ingest.uploads_rejected + stats.ingest.chunks_rejected);
+  for (const auto& family : registry->snapshot().families) {
+    if (family.name.find("uploads_rejected") == std::string::npos) continue;
+    EXPECT_EQ(family.name, "crowdmap_ingest_uploads_rejected_total");
+  }
 }
 
 TEST(Service, ArtifactCacheCountersSurfaceInStatsAndMetrics) {

@@ -4,12 +4,13 @@
 //                [--seed N] [--config FILE] [--fast]
 //                [--svg OUT.svg] [--pgm OUT.pgm] [--plan OUT.cmplan]
 //                [--ascii] [--metrics-out OUT.prom] [--trace]
-//                [--trace-out OUT.json] [--flight-out OUT.cmflight]
+//                [--trace-out OUT.json]
 //
 // Prints the Table-I metrics and room-error summary; optionally writes an
 // SVG floor plan, a PGM of the hallway skeleton, the binary plan, the
-// pipeline's metrics registry in Prometheus text format, the run timeline
-// as a Perfetto/chrome://tracing JSON, and the flight-recorder black box.
+// pipeline's metrics registry in Prometheus text format, and the run
+// timeline with the flight-recorder black box as a Perfetto/chrome://tracing
+// JSON.
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -24,7 +25,6 @@
 #include "io/image_io.hpp"
 #include "floorplan/serialize.hpp"
 #include "obs/export.hpp"
-#include "obs/flight.hpp"
 #include "obs/trace_export.hpp"
 #include "sim/buildings.hpp"
 
@@ -53,8 +53,7 @@ void usage() {
       "  --coverage        print coverage analysis + suggested walk tasks\n"
       "  --metrics-out F   write the pipeline metrics (Prometheus text) to F\n"
       "  --trace           print the pipeline trace tree (per-stage timings)\n"
-      "  --trace-out F     write spans + flight events as Perfetto trace JSON\n"
-      "  --flight-out F    write the flight-recorder dump (versioned binary)\n";
+      "  --trace-out F     write spans + flight events as Perfetto trace JSON\n";
 }
 
 }  // namespace
@@ -81,7 +80,6 @@ int main(int argc, char** argv) {
   std::string plan_path;
   std::string metrics_path;
   std::string trace_out_path;
-  std::string flight_out_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -137,8 +135,6 @@ int main(int argc, char** argv) {
       trace = true;
     } else if (arg == "--trace-out") {
       trace_out_path = next();
-    } else if (arg == "--flight-out") {
-      flight_out_path = next();
     } else if (arg == "--help-config") {
       std::cout << "supported --config keys (key = value per line):\n"
                 << core::config_key_help();
@@ -278,23 +274,6 @@ int main(int argc, char** argv) {
     }
     std::cout << "wrote " << trace_out_path
               << " (open in ui.perfetto.dev or chrome://tracing)\n";
-  }
-  if (!flight_out_path.empty()) {
-    if (!run.flight) {
-      std::cerr << "--flight-out: flight recorder disabled "
-                   "(set flight.enabled=true in --config)\n";
-      return 1;
-    }
-    const auto bytes = obs::encode_flight_dump(*run.flight);
-    std::ofstream out(flight_out_path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      std::cerr << "failed to write " << flight_out_path << "\n";
-      return 1;
-    }
-    std::cout << "wrote " << flight_out_path << " (" << bytes.size()
-              << " bytes, " << run.flight->events.size() << " events)\n";
   }
   if (!svg_path.empty()) {
     std::ofstream(svg_path) << run.result.plan.to_svg();

@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
     stitch.output_height = 128;
     auto pano = room::stitch_candidate(traj, candidates.front(), stitch);
     const auto& kf = traj.keyframes[candidates.front().keyframe_indices.front()];
-    const double focal = kf.gray.width() / (2.0 * std::tan(stitch.fov / 2.0)) *
-                         stitch.output_height / std::max(kf.gray.height(), 1);
+    const double focal =
+        room::panorama_focal_px(kf.gray.width(), kf.gray.height(), stitch);
     const double horizon =
         stitch.output_height / 2.0 - focal * std::tan(0.15);
     const auto boundary = room::detect_floor_boundary(pano.image, horizon);
